@@ -1,12 +1,14 @@
-"""Per-iteration hot-path guards: vectorized STA and prefactored assembly.
+"""Per-iteration hot-path guards: STA, placer assembly and legalization.
 
-Times the two kernels this PR moved off the flow's critical path and
-fails on regression:
+Times three kernels on the flow's critical path and fails on regression:
 
 * the vectorized positional timing pass vs a full scalar
   :class:`SequentialTiming` rebuild (must be >= 3x on s5378 and s9234);
 * the prefactored Laplacian assembly vs per-call triplet rebuilds for
-  repeated anchored ``place()`` calls.
+  repeated anchored ``place()`` calls;
+* the pruned row-walk legalizer vs the full-window scan kept in
+  ``tests/oracles/legalize_ref.py`` on the stage-1 global placement
+  (identical results, >= 2x faster on s5378 and s9234).
 
 Every measurement is appended to ``BENCH_hotpaths.json`` in the working
 directory (the perf-smoke CI job archives it next to ``BENCH_ci.json``),
@@ -30,9 +32,12 @@ from repro.placement import (
     PlacerOptions,
     PseudoNet,
     QuadraticPlacer,
+    legalize,
     region_for_circuit,
 )
 from repro.timing import SequentialTiming, VectorizedTiming
+
+from oracles.legalize_ref import legalize as legalize_ref
 
 TECH = DEFAULT_TECHNOLOGY
 CIRCUITS = ("s5378", "s9234")
@@ -117,6 +122,30 @@ def test_prefactored_assembly_speedup(name):
         "speedup": speedup,
     }
     assert speedup >= 1.2, f"{name}: prefactored assembly only {speedup:.2f}x"
+
+
+@pytest.mark.parametrize("name", CIRCUITS)
+def test_legalize_speedup(name):
+    """The pruned row walk must decide what the full scan does, >= 2x faster."""
+    circuit = generate_named(name)
+    region = region_for_circuit(circuit, TECH)
+    global_positions = QuadraticPlacer(circuit, region).place()
+
+    expected = legalize_ref(global_positions, region)
+    got = legalize(global_positions, region)
+    assert list(got.positions.items()) == list(expected.positions.items())
+    assert got.total_displacement == expected.total_displacement
+    assert got.max_displacement == expected.max_displacement
+
+    oracle_s = _best_of(lambda: legalize_ref(global_positions, region), rounds=5)
+    walk_s = _best_of(lambda: legalize(global_positions, region), rounds=5)
+    speedup = oracle_s / walk_s
+    RESULTS.setdefault("legalize", {})[name] = {
+        "oracle_scan_s": oracle_s,
+        "row_walk_s": walk_s,
+        "speedup": speedup,
+    }
+    assert speedup >= 2.0, f"{name}: row-walk legalizer only {speedup:.2f}x"
 
 
 def test_flow_end_to_end_recorded():

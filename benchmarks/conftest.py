@@ -11,12 +11,18 @@ artifacts at the end of the run so they are captured in ``bench_output.txt``.
 from __future__ import annotations
 
 import os
+import sys
+from pathlib import Path
 
 import pytest
 
 from repro.core import FlowOptions
 from repro.experiments import ExperimentSuite
 from repro.netlist import PROFILE_ORDER
+
+# Reference implementations live under tests/oracles/; the hot-path
+# guards time the production kernels against them.
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
 
 _ARTIFACTS: list[tuple[str, str]] = []
 

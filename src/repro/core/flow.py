@@ -414,12 +414,13 @@ class FlowResult:
     def decision_digest(self) -> str:
         """SHA-256 over the *decision* content of :meth:`to_dict`.
 
-        Wall-clock-derived keys — every ``seconds`` entry and the
-        ``trace`` summary — are stripped recursively before hashing, so
-        two runs that made identical placement/assignment/schedule
-        decisions produce identical digests no matter how long each
-        stage took.  This is the quantity the determinism integration
-        test compares across ``PYTHONHASHSEED`` values.
+        Wall-clock-derived keys — every ``seconds`` entry, the Section
+        VI ``ilp_stats.solve_seconds``, and the ``trace`` summary — are
+        stripped recursively before hashing, so two runs that made
+        identical placement/assignment/schedule decisions produce
+        identical digests no matter how long each stage took.  This is
+        the quantity the determinism integration test compares across
+        ``PYTHONHASHSEED`` values.
         """
 
         def strip(value: Any) -> Any:
@@ -427,7 +428,7 @@ class FlowResult:
                 return {
                     key: strip(sub)
                     for key, sub in value.items()
-                    if key not in ("seconds", "trace")
+                    if key not in ("seconds", "solve_seconds", "trace")
                 }
             if isinstance(value, list):
                 return [strip(sub) for sub in value]

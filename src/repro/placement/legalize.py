@@ -7,6 +7,7 @@ one site, so a sorted free-site list per row suffices.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Mapping
@@ -14,6 +15,10 @@ from typing import Mapping
 from ..errors import PlacementError
 from ..geometry import Point
 from .region import PlacementRegion
+
+#: Rows searched on each side of a cell's target row; the window doubles
+#: only when every row in it is full.
+_ROW_SEARCH_RADIUS = 8
 
 
 @dataclass(frozen=True, slots=True)
@@ -33,58 +38,88 @@ class LegalizationResult:
 def legalize(
     global_positions: Mapping[str, Point],
     region: PlacementRegion,
-    row_search_radius: int = 8,
 ) -> LegalizationResult:
     """Legalize ``global_positions`` onto the region's row/site grid.
 
-    Raises :class:`PlacementError` if the region cannot hold the cells.
+    Each cell takes the window row whose nearest free site minimizes
+    ``|row_y - y| + |site_x - x|``, the lowest row winning equal costs.
+    Rows are walked outward from the target row, down and up separately;
+    a side stops at the first row whose vertical distance alone exceeds
+    the best cost so far, since no row beyond it can match that cost.
+
+    Raises :class:`PlacementError` if the region cannot hold the cells
+    or a cell's position is not finite.
     """
-    names = list(global_positions)
-    if len(names) > region.capacity_sites:
+    num_cells = len(global_positions)
+    if num_cells > region.capacity_sites:
         raise PlacementError(
-            f"{len(names)} cells exceed region capacity {region.capacity_sites}"
+            f"{num_cells} cells exceed region capacity {region.capacity_sites}"
         )
-    # Sorted free-site lists per row: a bisect per probed row replaces
-    # the previous whole-row boolean scan (same candidates, same
-    # right-site tie-break, so the packing is identical).
-    free_sites: list[list[int]] = [
-        list(range(region.sites_per_row)) for _ in range(region.num_rows)
-    ]
+    cells: list[tuple[float, float, str]] = []
+    for name, p in global_positions.items():
+        if not (math.isfinite(p.x) and math.isfinite(p.y)):
+            raise PlacementError(
+                f"cell {name!r} has a non-finite position ({p.x}, {p.y})"
+            )
+        cells.append((p.x, p.y, name))
     # Process in x order (classic Tetris) for deterministic packing.
-    names.sort(key=lambda n: (global_positions[n].x, global_positions[n].y, n))
+    cells.sort()
+    num_rows = region.num_rows
+    row_ys = [region.row_y(row) for row in range(num_rows)]
+    site_xs = [region.site_x(site) for site in range(region.sites_per_row)]
+    free_sites: list[list[int]] = [
+        list(range(region.sites_per_row)) for _ in range(num_rows)
+    ]
     out: dict[str, Point] = {}
     total_disp = 0.0
     max_disp = 0.0
-    for name in names:
-        p = global_positions[name]
-        target_row = region.nearest_row(p.y)
-        target_site = region.nearest_site(p.x)
-        best: tuple[float, int, int] | None = None
-        radius = row_search_radius
-        while best is None:
+    for x, y, name in cells:
+        target_row = region.nearest_row(y)
+        target_site = region.nearest_site(x)
+        radius = _ROW_SEARCH_RADIUS
+        while True:
             lo = max(0, target_row - radius)
-            hi = min(region.num_rows - 1, target_row + radius)
-            for row in range(lo, hi + 1):
+            hi = min(num_rows - 1, target_row + radius)
+            best_cost, best_row, best_site = math.inf, -1, -1
+            # Row centres fall walking down and rise walking up, so
+            # ``y - row_y`` (down) and ``row_y - y`` (up) never shrink
+            # along a walk: once one exceeds the best cost, so does every
+            # remaining row's cost.  Walking down, an equal cost goes to
+            # the later (lower) row; walking up, to the earlier one.  The
+            # first free row wins even if its cost overflowed to inf.
+            for row in range(target_row, lo - 1, -1):
+                dy = row_ys[row] - y
+                if -dy > best_cost:
+                    break
                 site = _nearest_free_site(free_sites[row], target_site)
                 if site is None:
                     continue
-                cost = abs(region.row_y(row) - p.y) + abs(
-                    region.site_x(site) - p.x
-                )
-                if best is None or cost < best[0]:
-                    best = (cost, row, site)
-            if best is None:
-                if lo == 0 and hi == region.num_rows - 1:
-                    raise PlacementError("no free site found during legalization")
-                radius *= 2
-        _, row, site = best
-        row_free = free_sites[row]
-        del row_free[bisect_left(row_free, site)]
-        q = Point(region.site_x(site), region.row_y(row))
-        out[name] = q
-        d = p.manhattan(q)
-        total_disp += d
-        max_disp = max(max_disp, d)
+                cost = abs(dy) + abs(site_xs[site] - x)
+                if cost <= best_cost:
+                    best_cost, best_row, best_site = cost, row, site
+            for row in range(target_row + 1, hi + 1):
+                dy = row_ys[row] - y
+                if dy > best_cost:
+                    break
+                site = _nearest_free_site(free_sites[row], target_site)
+                if site is None:
+                    continue
+                cost = abs(dy) + abs(site_xs[site] - x)
+                if cost < best_cost or best_row < 0:
+                    best_cost, best_row, best_site = cost, row, site
+            if best_row >= 0:
+                break
+            if lo == 0 and hi == num_rows - 1:
+                raise PlacementError("no free site found during legalization")
+            radius *= 2
+        row_free = free_sites[best_row]
+        del row_free[bisect_left(row_free, best_site)]
+        out[name] = Point(site_xs[best_site], row_ys[best_row])
+        # The winning cost is bit-equal to the cell's Manhattan
+        # displacement (float addition commutes; |a - b| == |b - a|).
+        total_disp += best_cost
+        if best_cost > max_disp:
+            max_disp = best_cost
     return LegalizationResult(out, total_disp, max_disp)
 
 
@@ -97,9 +132,9 @@ def _nearest_free_site(free: list[int], target: int) -> int | None:
     if not free:
         return None
     pos = bisect_left(free, target)
-    candidates = []
-    if pos < len(free):
-        candidates.append(free[pos])
-    if pos > 0:
-        candidates.append(free[pos - 1])
-    return min(candidates, key=lambda s: abs(s - target))
+    if pos == len(free):
+        return free[pos - 1]
+    right = free[pos]
+    if pos and target - free[pos - 1] < right - target:
+        return free[pos - 1]
+    return right

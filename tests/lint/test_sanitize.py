@@ -126,17 +126,19 @@ class TestFlowIntegration:
         assert FlowOptions.from_dict(opts.to_dict()) == opts
 
     def test_decision_digest_ignores_timing(self, circuit):
-        opts = FlowOptions(max_iterations=1)
-        a = IntegratedFlow(circuit, options=opts).run()
-        b = IntegratedFlow(circuit, options=opts).run()
-        # Wall-clock metrics differ between the runs...
-        assert (a.seconds_algorithm, a.seconds_placer) != (
-            b.seconds_algorithm,
-            b.seconds_placer,
-        ) or a.base.seconds != b.base.seconds
-        # ...but the decision digest is identical.
-        assert a.decision_digest() == b.decision_digest()
-        assert len(a.decision_digest()) == 64
+        # The Section VI engine ("ilp") also records its solve wall time.
+        for assignment in ("flow", "ilp"):
+            opts = FlowOptions(max_iterations=1, assignment=assignment)
+            a = IntegratedFlow(circuit, options=opts).run()
+            b = IntegratedFlow(circuit, options=opts).run()
+            # Wall-clock metrics differ between the runs...
+            assert (a.seconds_algorithm, a.seconds_placer) != (
+                b.seconds_algorithm,
+                b.seconds_placer,
+            ) or a.base.seconds != b.base.seconds
+            # ...but the decision digest is identical.
+            assert a.decision_digest() == b.decision_digest(), assignment
+            assert len(a.decision_digest()) == 64
 
     def test_decision_digest_changes_with_decisions(self, circuit):
         a = IntegratedFlow(circuit, options=FlowOptions(max_iterations=1)).run()

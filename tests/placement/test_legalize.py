@@ -1,5 +1,8 @@
 """Tests for Tetris legalization."""
 
+import inspect
+import math
+
 import pytest
 
 from repro.constants import DEFAULT_TECHNOLOGY
@@ -82,3 +85,30 @@ class TestLegalize:
         a = legalize(raw, region).positions
         b = legalize(raw, region).positions
         assert a == b
+
+    def test_full_window_doubles_and_terminates(self):
+        # 20 one-site rows, every cell aimed at row 10: the ±8-row window
+        # (rows 2..18) fills after 17 cells, so the last three are only
+        # placed once the window doubles to cover rows 0, 1 and 19.
+        region = make_region(rows=20, sites=1)
+        y = region.row_y(10)
+        raw = {f"c{i:02d}": Point(1.5, y) for i in range(20)}
+        result = legalize(raw, region)
+        rows = sorted(region.nearest_row(p.y) for p in result.positions.values())
+        assert rows == list(range(20))
+        assert result.positions["c19"].y == region.row_y(0)
+
+    def test_search_radius_is_not_a_parameter(self):
+        assert list(inspect.signature(legalize).parameters) == [
+            "global_positions",
+            "region",
+        ]
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("axis", ["x", "y"])
+    def test_non_finite_position_is_typed_error(self, bad, axis):
+        region = make_region()
+        point = Point(bad, 5.0) if axis == "x" else Point(5.0, bad)
+        raw = {"ok": Point(3.0, 3.0), "bad": point}
+        with pytest.raises(PlacementError, match="'bad'"):
+            legalize(raw, region)
