@@ -3,7 +3,8 @@
 Timed kernels: one stage-6 incremental placement (the loop's most
 expensive stage, per the paper's Table IV CPU split) and the stage-3
 cost-matrix build.  The cost-matrix benchmark compares the vectorized
-builder against the scalar reference at the scale of the largest bundled
+builder against the scalar reference kept in
+``tests/oracles/cost_ref.py`` at the scale of the largest bundled
 circuit (s35932) and fails unless the vectorized path is at least 3x
 faster; the convergence artifact additionally proves the cross-iteration
 cache records hits from iteration 1 onwards.
@@ -30,6 +31,7 @@ from repro.placement import (
 from repro.rotary import RingArray
 
 from conftest import record_artifact
+from oracles import cost_ref
 
 
 @pytest.fixture(scope="module")
@@ -125,9 +127,7 @@ def test_bench_cost_matrix_phase_speedup(benchmark):
         return tapping_cost_matrix(array, positions, targets, tech, 8)
 
     def build_scalar():
-        return tapping_cost_matrix(
-            array, positions, targets, tech, 8, method="scalar"
-        )
+        return cost_ref.tapping_cost_matrix(array, positions, targets, tech, 8)
 
     build_vectorized()  # touch the kernel's working set before timing
     matrix = benchmark.pedantic(build_vectorized, rounds=3, iterations=1)

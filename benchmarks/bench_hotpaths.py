@@ -1,20 +1,23 @@
 """Per-iteration hot-path guards: STA, placer assembly and legalization.
 
-Times three kernels on the flow's critical path and fails on regression:
+Times three kernels on the flow's critical path against the reference
+implementations kept under ``tests/oracles/`` and fails on regression:
 
 * the vectorized positional timing pass vs a full scalar
   :class:`SequentialTiming` rebuild (must be >= 3x on s5378 and s9234);
-* the prefactored Laplacian assembly vs per-call triplet rebuilds for
-  repeated anchored ``place()`` calls;
+* the prefactored Laplacian assembly vs the per-call triplet rebuild of
+  ``tests/oracles/placer_ref.py`` for repeated anchored ``place()``
+  calls (>= 1.2x);
 * the pruned row-walk legalizer vs the full-window scan kept in
   ``tests/oracles/legalize_ref.py`` on the stage-1 global placement
   (identical results, >= 2x faster on s5378 and s9234).
 
 Every measurement is appended to ``BENCH_hotpaths.json`` in the working
 directory (the perf-smoke CI job archives it next to ``BENCH_ci.json``),
-including an end-to-end scalar-vs-vectorized flow comparison that is
-recorded but not gated here — the full-flow equivalence itself is pinned
-by ``tests/core/test_flow_regression.py``.
+including an end-to-end comparison with a flow run on the reference
+engines (``tests/oracles/flow_ref.py``) that is recorded but not gated
+here — the full-flow equivalence itself is pinned by
+``tests/core/test_flow_regression.py``.
 """
 
 import json
@@ -29,7 +32,6 @@ from repro.core import FlowOptions, IntegratedFlow
 from repro.geometry import Point
 from repro.netlist import PROFILES, generate_named
 from repro.placement import (
-    PlacerOptions,
     PseudoNet,
     QuadraticPlacer,
     legalize,
@@ -37,7 +39,9 @@ from repro.placement import (
 )
 from repro.timing import SequentialTiming, VectorizedTiming
 
+from oracles.flow_ref import reference_engines
 from oracles.legalize_ref import legalize as legalize_ref
+from oracles.placer_ref import TripletsPlacer
 
 TECH = DEFAULT_TECHNOLOGY
 CIRCUITS = ("s5378", "s9234")
@@ -103,9 +107,9 @@ def test_prefactored_assembly_speedup(name):
         for ff in circuit.flip_flops[:16]
     ]
 
-    def run(assembly: str) -> float:
-        placer = QuadraticPlacer(circuit, region, PlacerOptions(assembly=assembly))
-        placer.place()  # warm start + (for prefactored) base build
+    def run(placer_cls: type[QuadraticPlacer]) -> float:
+        placer = placer_cls(circuit, region)
+        placer.place()  # warm start
         return _best_of(
             lambda: placer.place(
                 pseudo_nets=pseudo, stability_anchors=anchors, stability_weight=0.02
@@ -113,8 +117,8 @@ def test_prefactored_assembly_speedup(name):
             rounds=3,
         )
 
-    triplets_s = run("triplets")
-    prefactored_s = run("prefactored")
+    triplets_s = run(TripletsPlacer)
+    prefactored_s = run(QuadraticPlacer)
     speedup = triplets_s / prefactored_s
     RESULTS.setdefault("placer_assembly", {})[name] = {
         "triplets_s": triplets_s,
@@ -151,20 +155,16 @@ def test_legalize_speedup(name):
 def test_flow_end_to_end_recorded():
     """Record (not gate) the whole-flow effect of both engines on s5378."""
     name = "s5378"
-    side = PROFILES[name].ring_grid_side
+    options = FlowOptions(ring_grid_side=PROFILES[name].ring_grid_side)
 
-    def run_flow(sta_engine: str, placer_assembly: str):
-        options = FlowOptions(
-            ring_grid_side=side,
-            sta_engine=sta_engine,
-            placer_assembly=placer_assembly,
-        )
+    def run_flow():
         t0 = time.perf_counter()
         result = IntegratedFlow(generate_named(name), options=options).run()
         return time.perf_counter() - t0, result
 
-    vec_s, vec = run_flow("vectorized", "prefactored")
-    sca_s, sca = run_flow("scalar", "triplets")
+    vec_s, vec = run_flow()
+    with reference_engines():
+        sca_s, sca = run_flow()
     RESULTS["flow_end_to_end"] = {
         name: {
             "scalar_s": sca_s,

@@ -79,8 +79,9 @@ __all__ = [
 #: Version tag carried by every request/response document.  Bump on any
 #: incompatible schema change; ``from_dict`` rejects other versions, and
 #: the tag participates in every request digest so a version bump can
-#: never serve a cached result written under the old schema.
-API_VERSION = "v1"
+#: never serve a cached result written under the old schema.  The HTTP
+#: routes keep their own ``/v1/`` prefix, independent of this tag.
+API_VERSION = "v2"
 
 
 #: Execution-only :class:`FlowOptions` fields, addressed as dotted
@@ -97,12 +98,11 @@ _EXECUTION_ONLY_OPTION_PATHS: frozenset[str] = frozenset(
 #: :class:`FlowOptions` field except the
 #: :data:`~repro.core.EXECUTION_ONLY_OPTION_FIELDS` carve-out
 #: (``jobs``, the intra-run worker count, whose dispatch layer is
-#: bit-identical for any value) is classified result-affecting** (even
-#: engine-selection knobs like ``sta_engine`` or ``placer_assembly`` pin
-#: exact numeric paths), so a new flow knob lands in the digest
-#: automatically and the server's :class:`~repro.server.cache.ResultCache`
-#: and the experiments :class:`~repro.experiments.CheckpointStore` can
-#: never serve a result computed under different options.  Entries with
+#: bit-identical for any value) is classified result-affecting**, so a
+#: new flow knob lands in the digest automatically and the server's
+#: :class:`~repro.server.cache.ResultCache` and the experiments
+#: :class:`~repro.experiments.CheckpointStore` can never serve a result
+#: computed under different options.  Entries with
 #: a dot (``options.jobs``) strip one field from a nested sub-document.
 #: ``tests/test_digest_classification.py`` enforces both directions.
 EXECUTION_ONLY_FIELDS: Mapping[str, frozenset[str]] = {

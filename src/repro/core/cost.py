@@ -11,11 +11,12 @@ headline metrics of Tables III-VII:
 * **max load capacitance** per ring (Section VI objective);
 * **WCP** — wirelength-capacitance product (Table VII).
 
-Two builder paths exist: the NumPy-batched kernel of
-:mod:`repro.rotary.tapping_vec` (default, one call per ring) and the
-scalar reference loop over :func:`repro.rotary.best_tapping`
-(``method="scalar"``, cross-checked against the kernel by the property
-tests).  :class:`TappingCostCache` adds cross-iteration row reuse for the
+The matrix is built by the NumPy-batched pair kernel of
+:mod:`repro.rotary.tapping_vec`; the scalar loop over
+:func:`repro.rotary.best_tapping` it replaced is kept as the test oracle
+``tests/oracles/cost_ref.py``, and the tests and the cost-matrix perf
+guard check that both build the same matrix bit for bit.
+:class:`TappingCostCache` adds cross-iteration row reuse for the
 integrated flow: a flip-flop's matrix row only depends on its position
 and skew target, so rows whose ``(position, target)`` key is unchanged
 are served from the cache instead of being re-solved.
@@ -24,7 +25,7 @@ are served from the cache instead of being re-solved.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Literal, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 import numpy.typing as npt
@@ -195,7 +196,6 @@ def tapping_cost_matrix(
     targets: Mapping[str, float],
     tech: Technology,
     candidate_rings: int | None = 8,
-    method: Literal["vectorized", "scalar"] = "vectorized",
     jobs: int = 1,
 ) -> TappingCostMatrix:
     """Build the cost matrix for all flip-flops against the ring array.
@@ -203,31 +203,12 @@ def tapping_cost_matrix(
     ``candidate_rings`` prunes each flip-flop to its nearest rings (the
     paper: "if a flip-flop and a ring are too far away from each other,
     it is not necessary to insert an arc between them"); ``None`` builds
-    the full matrix.  ``method="scalar"`` runs the reference per-solution
-    loop instead of the batched kernel; both produce identical matrices.
-    ``jobs > 1`` dispatches the pruning and the pair kernel to the
-    :mod:`repro.parallel` worker pool; the matrix is bit-identical for
-    any worker count.
+    the full matrix.  ``jobs > 1`` dispatches the pruning and the pair
+    kernel to the :mod:`repro.parallel` worker pool; the matrix is
+    bit-identical for any worker count.
     """
     ff_names = _validated_names(positions, targets)
-    n_rings = array.num_rings
-    costs = np.full((len(ff_names), n_rings), FORBIDDEN_COST)
-
-    if method == "scalar":
-        for i, name in enumerate(ff_names):
-            p = positions[name]
-            rings = (
-                array.rings
-                if candidate_rings is None
-                else array.rings_by_distance(p, candidate_rings)
-            )
-            for ring in rings:
-                sol = best_tapping(ring, p, targets[name], tech)
-                costs[i, ring.ring_id] = sol.wirelength
-        return TappingCostMatrix(ff_names=ff_names, costs=costs)
-    if method != "vectorized":
-        raise CostMatrixError(f"unknown cost-matrix method {method!r}")
-
+    costs = np.full((len(ff_names), array.num_rings), FORBIDDEN_COST)
     px = np.array([positions[name].x for name in ff_names])
     py = np.array([positions[name].y for name in ff_names])
     tg = np.array([targets[name] for name in ff_names])

@@ -25,6 +25,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 import time
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, Literal, Mapping
@@ -39,7 +40,6 @@ from ..obs import NULL_COLLECTOR, Collector, Trace, TraceCollector
 from ..parallel import resolve_jobs
 from ..placement import (
     IncrementalOptions,
-    PlacerOptions,
     PseudoNet,
     QuadraticPlacer,
     incremental_place,
@@ -50,7 +50,6 @@ from ..placement import (
 from ..rotary import RingArray
 from ..timing import (
     CriticalPathExtractor,
-    SequentialTiming,
     TimingSnapshot,
     VectorizedTiming,
     critical_net_weights,
@@ -68,6 +67,15 @@ from .skew_traditional import SkewSchedule, max_slack_schedule
 
 if TYPE_CHECKING:  # lazy at runtime: analysis imports core.cost
     from ..analysis.diagnostics import Diagnostic
+
+
+#: Allowed values of the :class:`FlowOptions` fields that select a
+#: formulation; ``__post_init__`` rejects anything else.
+_OPTION_CHOICES: dict[str, tuple[str, ...]] = {
+    "assignment": ("flow", "ilp"),
+    "skew_mode": ("weighted", "minmax"),
+    "net_weighting": ("none", "critical"),
+}
 
 
 @dataclass(frozen=True, slots=True, kw_only=True)
@@ -120,29 +128,6 @@ class FlowOptions:
     #: on :attr:`FlowResult.trace`.  Off by default; the disabled path
     #: runs through a shared no-op collector.
     trace: bool = False
-    #: Static timing engine.  "vectorized" caches the circuit's timing
-    #: structure once and reruns only the numpy positional pass per
-    #: iteration (results within 1e-9 ps of the scalar engine; exact on
-    #: all bundled circuits); "scalar" rebuilds
-    #: :class:`~repro.timing.SequentialTiming` from scratch each time.
-    sta_engine: Literal["vectorized", "scalar"] = "vectorized"
-    #: Per-axis movement (um) below which the vectorized engine may keep
-    #: a flip-flop's cached arrivals.  The default 0.0 re-propagates on
-    #: any bitwise change, keeping the fast path exact.
-    sta_dirty_epsilon: float = 0.0
-    #: Quadratic-placer Laplacian assembly ("prefactored" reuses base
-    #: triplets across solves; results are bit-identical to "triplets").
-    placer_assembly: Literal["prefactored", "triplets"] = "prefactored"
-    #: Quadratic-placer linear solver.  "auto" keeps plain CG on
-    #: ISCAS-scale circuits (bit-identical to the historical engine) and
-    #: switches to Jacobi-preconditioned CG ("pcg") beyond 20k movable
-    #: cells; "direct" is the sparse-LU factorization baseline.
-    placer_solver: Literal["auto", "cg", "pcg", "direct"] = "auto"
-    #: Warm-start the stage-3 min-cost-flow re-solve from the previous
-    #: iteration's assignment (exchange-graph cycle canceling; exactly
-    #: optimal, falls back to a cold solve whenever unusable).  Only the
-    #: "flow" assignment engine consumes it.
-    assignment_warm_start: bool = True
     #: Timing-driven placement coupling: "critical" extracts the top-k
     #: most-critical sequential pairs (smallest permissible-range slack)
     #: from the STA each iteration and up-weights the nets on their
@@ -172,6 +157,30 @@ class FlowOptions:
     #: excluded from request digests and checkpoint keys (see
     #: :data:`EXECUTION_ONLY_OPTION_FIELDS`).
     jobs: int | Literal["auto"] = 1
+
+    def __post_init__(self) -> None:
+        """Reject values no flow stage accepts, naming field and value."""
+        for name, allowed in _OPTION_CHOICES.items():
+            value = getattr(self, name)
+            if value not in allowed:
+                raise ReproError(
+                    f"FlowOptions.{name} must be one of "
+                    f"{', '.join(map(repr, allowed))}, got {value!r}"
+                )
+        if not (isinstance(self.max_iterations, int) and self.max_iterations >= 1):
+            raise ReproError(
+                "FlowOptions.max_iterations must be an integer >= 1, "
+                f"got {self.max_iterations!r}"
+            )
+        if not (
+            isinstance(self.period, (int, float))
+            and math.isfinite(self.period)
+            and self.period > 0
+        ):
+            raise ReproError(
+                "FlowOptions.period must be a finite number > 0, "
+                f"got {self.period!r}"
+            )
 
     def replace(self, **changes: Any) -> "FlowOptions":
         """A copy with ``changes`` applied (keyword-only, validated)."""
@@ -572,11 +581,6 @@ class IntegratedFlow:
     def _run(self, opts: FlowOptions, obs: Collector) -> FlowResult:
         t_alg = 0.0
         t_placer = 0.0
-        if opts.net_weighting not in ("none", "critical"):
-            raise ReproError(
-                f"unknown net_weighting {opts.net_weighting!r} "
-                "(expected 'none' or 'critical')"
-            )
         # Resolve the intra-run worker count once per run (the env var
         # REPRO_JOBS, when set, wins over the option; see
         # repro.parallel.resolve_jobs).  Purely an execution knob —
@@ -590,14 +594,7 @@ class IntegratedFlow:
             region = region_for_circuit(
                 self.circuit, self.tech, opts.utilization
             )
-            placer = QuadraticPlacer(
-                self.circuit,
-                region,
-                PlacerOptions(
-                    assembly=opts.placer_assembly, solver=opts.placer_solver
-                ),
-                collector=obs,
-            )
+            placer = QuadraticPlacer(self.circuit, region, collector=obs)
             legal = legalize(placer.place(), region)
             positions: dict[str, Point] = dict(placer.fixed_positions)
             positions.update(legal.positions)
@@ -613,19 +610,8 @@ class IntegratedFlow:
         # Stage 2: traditional max-slack skew optimization.
         tic = time.monotonic()
         with obs.span("stage2.max-slack-skew"):
-            sta: VectorizedTiming | None = None
-            timing: SequentialTiming | TimingSnapshot
-            if opts.sta_engine == "vectorized":
-                sta = VectorizedTiming(
-                    self.circuit,
-                    self.tech,
-                    dirty_epsilon=opts.sta_dirty_epsilon,
-                    collector=obs,
-                    jobs=jobs,
-                )
-                timing = sta.analyze(positions)
-            else:
-                timing = SequentialTiming(self.circuit, positions, self.tech)
+            sta = VectorizedTiming(self.circuit, self.tech, collector=obs, jobs=jobs)
+            timing = sta.analyze(positions)
             schedule = max_slack_schedule(
                 timing.pairs, self._ffs, opts.period, self.tech
             )
@@ -696,9 +682,7 @@ class IntegratedFlow:
                         self.tech,
                         capacities,
                         cache=cache,
-                        warm_start=(
-                            prev_assign if opts.assignment_warm_start else None
-                        ),
+                        warm_start=prev_assign,
                         collector=obs,
                     )
                     prev_assign = np.array(
@@ -847,10 +831,7 @@ class IntegratedFlow:
 
             tic = time.monotonic()
             with obs.span("timing.rebuild", iteration=iteration):
-                if sta is not None:
-                    timing = sta.analyze(positions)
-                else:
-                    timing = SequentialTiming(self.circuit, positions, self.tech)
+                timing = sta.analyze(positions)
             t_alg += time.monotonic() - tic
 
         assert base is not None and best is not None and history
@@ -865,13 +846,7 @@ class IntegratedFlow:
             from ..clocktree.local_trees import build_local_trees
 
             with obs.span("post.local-trees"):
-                best_timing: SequentialTiming | TimingSnapshot
-                if sta is not None:
-                    best_timing = sta.analyze(best_positions)
-                else:
-                    best_timing = SequentialTiming(
-                        self.circuit, best_positions, self.tech
-                    )
+                best_timing = sta.analyze(best_positions)
                 local_tree_result = build_local_trees(
                     best_assignment,
                     array,
@@ -912,7 +887,7 @@ class IntegratedFlow:
         capacities: list[int],
         schedule: SkewSchedule,
         slack_guaranteed: float,
-        timing: "SequentialTiming | TimingSnapshot",
+        timing: TimingSnapshot,
     ) -> "tuple[Diagnostic, ...]":
         """Run the cheap invariant rules against this iteration's state."""
         # Lazy import: repro.analysis depends on core.cost.

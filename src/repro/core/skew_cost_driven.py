@@ -108,7 +108,8 @@ def _add_timing_constraints(
 
     Row 2k: t_i - t_j <= T - Dmax - setup - M; row 2k+1:
     t_j - t_i <= Dmin - hold - M.  Self-loop pairs cancel to a vacuous
-    (empty) row, exactly as the dict path's zero-dropping produced.
+    (empty) row, exactly as the row-by-row assembly kept in
+    ``tests/oracles/skew_lp_ref.py`` drops their zero coefficients.
     """
     ii, jj, d_max, d_min = _pair_index_arrays(pairs, flip_flops)
     n_p = len(pairs)
@@ -125,30 +126,6 @@ def _add_timing_constraints(
     rhs[0::2] = period - d_max - tech.setup_time - slack
     rhs[1::2] = d_min - tech.hold_time - slack
     lp.add_constraint_block(rows, cols, vals, "<=", rhs)
-
-
-def _add_timing_constraints_loops(
-    lp: LinearProgram,
-    pairs: Mapping[tuple[str, str], PathBounds],
-    period: float,
-    tech: Technology,
-    slack: float,
-) -> None:
-    """Reference row-by-row assembly; equivalence-tested against
-    :func:`_add_timing_constraints`."""
-    from .skew_traditional import _skew_coeffs
-
-    for (i, j), b in pairs.items():
-        lp.add_constraint(
-            _skew_coeffs(i, j, {}),
-            "<=",
-            period - b.d_max - tech.setup_time - slack,
-        )
-        lp.add_constraint(
-            _skew_coeffs(j, i, {}),
-            "<=",
-            b.d_min - tech.hold_time - slack,
-        )
 
 
 def cost_driven_schedule(

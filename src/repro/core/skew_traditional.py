@@ -8,22 +8,22 @@ constraints over all sequentially adjacent flip-flop pairs:
     subject to t_i - t_j + M <= T - D_max^ij - t_setup     (i -> j)
                t_i - t_j >= M + t_hold - D_min^ij          (i -> j)
 
-Solvable by LP [4] or graph algorithms [23], [24]; both are provided and
-cross-checked in the tests.
+Solvable by LP [4] or graph algorithms [23], [24].  The flow solves the
+LP; the graph formulation, :func:`repro.opt.maximize_slack`, cross-checks
+its optimum in the tests.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Literal, Mapping
+from typing import Mapping
 
 import numpy as np
 
 from ..constants import Technology
 from ..errors import SkewOptimizationError
-from ..opt.diffconstraints import maximize_slack
 from ..opt.lp import LinearProgram
-from ..timing import PathBounds, skew_constraints
+from ..timing import PathBounds
 
 
 @dataclass(frozen=True, slots=True)
@@ -45,15 +45,6 @@ class SkewSchedule:
             targets={k: v % period for k, v in self.targets.items()},
             slack=self.slack,
         )
-
-
-def _skew_coeffs(plus: str, minus: str, extra: dict[str, float]) -> dict[str, float]:
-    """Coefficients of ``t_plus - t_minus`` plus extra terms, summing
-    collisions (so self-loop pairs cancel instead of clobbering)."""
-    coeffs = dict(extra)
-    for var, coef in ((f"t_{plus}", 1.0), (f"t_{minus}", -1.0)):
-        coeffs[var] = coeffs.get(var, 0.0) + coef
-    return {v: c for v, c in coeffs.items() if c != 0.0}
 
 
 def _pair_index_arrays(
@@ -133,53 +124,15 @@ def _max_slack_lp(
     return lp
 
 
-def _max_slack_lp_loops(
-    pairs: Mapping[tuple[str, str], PathBounds],
-    flip_flops: list[str],
-    period: float,
-    tech: Technology,
-) -> LinearProgram:
-    """Reference row-by-row assembly; equivalence-tested against
-    :func:`_max_slack_lp` (both must lower to byte-identical arrays)."""
-    lp = LinearProgram("max_slack_skew")
-    for ff in flip_flops:
-        lp.add_var(f"t_{ff}", lb=float("-inf"))
-    lp.add_var("M", lb=float("-inf"), ub=period)
-    for (i, j), b in pairs.items():
-        lp.add_constraint(
-            _skew_coeffs(i, j, {"M": 1.0}),
-            "<=",
-            period - b.d_max - tech.setup_time,
-        )
-        lp.add_constraint(
-            _skew_coeffs(j, i, {"M": 1.0}),
-            "<=",
-            b.d_min - tech.hold_time,
-        )
-    lp.add_constraint({f"t_{flip_flops[0]}": 1.0}, "==", 0.0)
-    lp.set_objective({"M": -1.0})
-    return lp
-
-
 def max_slack_schedule(
     pairs: Mapping[tuple[str, str], PathBounds],
     flip_flops: list[str],
     period: float,
     tech: Technology,
-    backend: Literal["lp", "graph"] = "lp",
 ) -> SkewSchedule:
-    """Solve the max-slack problem; returns targets plus the optimum M."""
+    """Solve the max-slack LP; returns targets plus the optimum M."""
     if not flip_flops:
         raise SkewOptimizationError("no flip-flops to schedule")
-    if backend == "graph":
-        constraints = skew_constraints(pairs, period, tech)
-        slack, schedule = maximize_slack(flip_flops, constraints)
-        # Unconstrained flip-flops default to zero skew.
-        targets = {ff: schedule.get(ff, 0.0) for ff in flip_flops}
-        return SkewSchedule(targets=targets, slack=slack)
-    if backend != "lp":
-        raise SkewOptimizationError(f"unknown skew backend {backend!r}")
-
     sol = _max_slack_lp(pairs, flip_flops, period, tech).solve()
     targets = {ff: sol.values[f"t_{ff}"] for ff in flip_flops}
     return SkewSchedule(targets=targets, slack=sol.values["M"])

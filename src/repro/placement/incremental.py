@@ -45,8 +45,8 @@ def incremental_place(
     """One incremental placement pass; returns legalized positions.
 
     Pass an existing ``placer`` (bound to the same circuit and region)
-    to reuse its spring structure — and, in prefactored assembly mode,
-    its base Laplacian triplets — instead of rebuilding them.
+    to reuse its spring structure and base Laplacian triplets instead of
+    rebuilding them.
     """
     opts = options or IncrementalOptions()
     pseudo = list(pseudo_nets)

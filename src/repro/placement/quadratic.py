@@ -75,11 +75,6 @@ class PlacerOptions:
     spreading_weight: float = 0.05
     #: Hard cap on bisection levels.
     max_levels: int = 12
-    #: Laplacian assembly: "prefactored" builds the spring/star/eps base
-    #: triplets once per placer and only concatenates per-solve anchors;
-    #: "triplets" is the original per-solve Python rebuild.  Both feed
-    #: scipy the identical COO stream, so results are bit-identical.
-    assembly: Literal["prefactored", "triplets"] = "prefactored"
     #: Linear solver for the SPD axis systems:
     #:
     #: * ``"cg"`` — plain conjugate gradients (the historical path);
@@ -125,10 +120,8 @@ class QuadraticPlacer:
             self._solver_mode = self.options.solver
         else:
             raise PlacementError(f"unknown placer solver {self.options.solver!r}")
-        self._base: tuple[np.ndarray, ...] | None = None
-        if self.options.assembly == "prefactored":
-            self._base = self._prefactor()
-            self.collector.count("placement.assembly.builds")
+        self._base = self._prefactor()
+        self.collector.count("placement.assembly.builds")
 
     # ------------------------------------------------------------------
     def _checked_net_weights(
@@ -153,16 +146,14 @@ class QuadraticPlacer:
 
         The timing-driven flow calls this between iterations with the
         critical-pair weights; cells, region, solver mode, and the warm
-        CG machinery are all retained, only the spring list (and, in
-        prefactored assembly mode, the cached base triplets) is rebuilt.
-        An absent / all-ones mapping restores the unweighted placer
-        bit-for-bit.
+        CG machinery are all retained, only the spring list and the
+        cached base triplets are rebuilt.  An absent / all-ones mapping
+        restores the unweighted placer bit-for-bit.
         """
         self._net_weights = self._checked_net_weights(net_weights)
         self._springs = self._build_springs()
-        if self.options.assembly == "prefactored":
-            self._base = self._prefactor()
-            self.collector.count("placement.assembly.builds")
+        self._base = self._prefactor()
+        self.collector.count("placement.assembly.builds")
         self.collector.count("placement.net-weights.rebuilds")
 
     @property
@@ -213,12 +204,13 @@ class QuadraticPlacer:
     def _prefactor(self) -> tuple[np.ndarray, ...]:
         """Assemble the position-independent base system once.
 
-        Emits the exact triplet stream the per-solve ``add()`` loop in
-        :meth:`_solve_axis_triplets` would produce for springs, star
-        nets and eps anchors (weights are axis-independent; only the
-        rhs differs per axis).  Because scipy's duplicate summation is
-        deterministic for a given COO stream, feeding the identical
-        stream keeps solutions bit-identical to the triplets path.
+        Emits the exact triplet stream a per-solve rebuild would produce
+        for springs, star nets and eps anchors (weights are
+        axis-independent; only the rhs differs per axis).  Because
+        scipy's duplicate summation is deterministic for a given COO
+        stream, feeding the identical stream keeps solutions
+        bit-identical to the per-solve rebuild kept as the test oracle
+        ``tests/oracles/placer_ref.py``.
         """
         n = len(self._movable)
         n_aux = len(self._star_nets)
@@ -316,15 +308,15 @@ class QuadraticPlacer:
         arr = np.asarray(anchors, dtype=np.float64)
         return arr[:, 0].astype(np.int64), arr[:, 1], arr[:, 2]
 
-    def _solve_axis_prefactored(
+    def _solve_axis(
         self,
         axis: int,
         anchors: "Sequence[tuple[int, float, float]] | AnchorArrays",
         warm: np.ndarray | None,
     ) -> np.ndarray:
-        """Prefactored twin of :meth:`_solve_axis_triplets`: base triplets
-        are reused; only the anchor diagonal entries are appended."""
-        assert self._base is not None
+        """Solve one coordinate axis.  ``anchors`` = (cell, target,
+        weight); the base triplets are reused and only the anchor
+        diagonal entries are appended."""
         base_rows, base_cols, base_vals, base_rhs_x, base_rhs_y = self._base
         n = len(self._movable)
         n_aux = len(self._star_nets)
@@ -334,8 +326,8 @@ class QuadraticPlacer:
         cols = np.concatenate([base_cols, a_idx])
         vals = np.concatenate([base_vals, a_w])
         rhs = (base_rhs_x if axis == 0 else base_rhs_y).copy()
-        # ufunc.at accumulates sequentially in index order, matching the
-        # scalar path's per-anchor ``rhs[i] += w * target`` fold.
+        # ufunc.at accumulates sequentially in index order, matching a
+        # scalar per-anchor ``rhs[i] += w * target`` fold.
         np.add.at(rhs, a_idx, a_w * a_tgt)
         self.collector.count("placement.assembly.reuses")
 
@@ -343,74 +335,6 @@ class QuadraticPlacer:
         x0 = None
         if warm is not None:
             center = (self.region.bbox.center.x, self.region.bbox.center.y)[axis]
-            x0 = np.concatenate([warm, np.full(n_aux, center)])
-        sol = self._linear_solve(A, rhs, x0)
-        return sol[:n]
-
-    def _solve_axis(
-        self,
-        axis: int,
-        anchors: "Sequence[tuple[int, float, float]] | AnchorArrays",
-        warm: np.ndarray | None,
-    ) -> np.ndarray:
-        if self._base is not None:
-            return self._solve_axis_prefactored(axis, anchors, warm)
-        if isinstance(anchors, tuple):  # array form only in prefactored mode
-            anchors = list(zip(anchors[0].tolist(), anchors[1], anchors[2]))
-        return self._solve_axis_triplets(axis, anchors, warm)
-
-    def _solve_axis_triplets(
-        self,
-        axis: int,
-        anchors: Sequence[tuple[int, float, float]],
-        warm: np.ndarray | None,
-    ) -> np.ndarray:
-        """Solve one coordinate axis.  ``anchors`` = (cell, target, weight)."""
-        n = len(self._movable)
-        n_aux = len(self._star_nets)
-        size = n + n_aux
-        rows: list[int] = []
-        cols: list[int] = []
-        vals: list[float] = []
-        rhs = np.zeros(size)
-
-        def add(i: int, j: int | None, w: float, fixed_val: float = 0.0) -> None:
-            rows.append(i)
-            cols.append(i)
-            vals.append(w)
-            if j is None:
-                rhs[i] += w * fixed_val
-            else:
-                rows.append(j)
-                cols.append(j)
-                vals.append(w)
-                rows.append(i)
-                cols.append(j)
-                vals.append(-w)
-                rows.append(j)
-                cols.append(i)
-                vals.append(-w)
-
-        for i, j, w, p in self._springs:
-            if p is None:
-                add(i, j, w)
-            else:
-                add(i, None, w, (p.x, p.y)[axis])
-        for k, (movable_idx, fixed_pts, w) in enumerate(self._star_nets):
-            aux = n + k
-            for i in movable_idx:
-                add(i, aux, w)
-            for p in fixed_pts:
-                add(aux, None, w, (p.x, p.y)[axis])
-        center = (self.region.bbox.center.x, self.region.bbox.center.y)[axis]
-        for i in range(size):
-            add(i, None, _EPS_ANCHOR, center)
-        for i, target, w in anchors:
-            add(i, None, w, target)
-
-        A = sp.csr_matrix((vals, (rows, cols)), shape=(size, size))
-        x0 = None
-        if warm is not None:
             x0 = np.concatenate([warm, np.full(n_aux, center)])
         sol = self._linear_solve(A, rhs, x0)
         return sol[:n]
@@ -492,10 +416,8 @@ class QuadraticPlacer:
         ]
         level = 0
         weight = opts.spreading_weight
-        base_ax = base_ay = None
-        if self._base is not None:
-            base_ax = self._anchor_arrays(base_x)
-            base_ay = self._anchor_arrays(base_y)
+        base_ax = self._anchor_arrays(base_x)
+        base_ay = self._anchor_arrays(base_y)
         while level < opts.max_levels:
             next_regions: list[tuple[BBox, np.ndarray, bool]] = []
             split_any = False
@@ -522,36 +444,26 @@ class QuadraticPlacer:
             regions = next_regions
             if not split_any:
                 break
-            if base_ax is not None and base_ay is not None:
-                # Array form of the identical anchor sequence: base
-                # anchors first, then each region's cells in order.
-                reg_idx = np.concatenate([idx for _, idx, _ in regions])
-                cxs = np.concatenate(
-                    [np.full(idx.size, bbox.center.x) for bbox, idx, _ in regions]
-                )
-                cys = np.concatenate(
-                    [np.full(idx.size, bbox.center.y) for bbox, idx, _ in regions]
-                )
-                ws = np.full(reg_idx.size, weight)
-                anchors_x: "Sequence[tuple[int, float, float]] | AnchorArrays" = (
-                    np.concatenate([base_ax[0], reg_idx]),
-                    np.concatenate([base_ax[1], cxs]),
-                    np.concatenate([base_ax[2], ws]),
-                )
-                anchors_y: "Sequence[tuple[int, float, float]] | AnchorArrays" = (
-                    np.concatenate([base_ay[0], reg_idx]),
-                    np.concatenate([base_ay[1], cys]),
-                    np.concatenate([base_ay[2], ws]),
-                )
-            else:
-                lx = list(base_x)
-                ly = list(base_y)
-                for bbox, idx, _ in regions:
-                    cx, cy = bbox.center.x, bbox.center.y
-                    for i in idx:
-                        lx.append((int(i), cx, weight))
-                        ly.append((int(i), cy, weight))
-                anchors_x, anchors_y = lx, ly
+            # Array form of the anchor sequence: base anchors first,
+            # then each region's cells in order.
+            reg_idx = np.concatenate([idx for _, idx, _ in regions])
+            cxs = np.concatenate(
+                [np.full(idx.size, bbox.center.x) for bbox, idx, _ in regions]
+            )
+            cys = np.concatenate(
+                [np.full(idx.size, bbox.center.y) for bbox, idx, _ in regions]
+            )
+            ws = np.full(reg_idx.size, weight)
+            anchors_x: AnchorArrays = (
+                np.concatenate([base_ax[0], reg_idx]),
+                np.concatenate([base_ax[1], cxs]),
+                np.concatenate([base_ax[2], ws]),
+            )
+            anchors_y: AnchorArrays = (
+                np.concatenate([base_ay[0], reg_idx]),
+                np.concatenate([base_ay[1], cys]),
+                np.concatenate([base_ay[2], ws]),
+            )
             x, y = self._solve(anchors_x, anchors_y, x, y)
             weight *= 2.0
             level += 1

@@ -17,22 +17,20 @@ construction, even though the Fig. 3 flow only ever changes cell
 
 A dirty-set fast path re-propagates only the flip-flops whose *support
 set* (fanout-cone cells plus every sink loading a cone driver) contains
-a cell that moved more than ``dirty_epsilon`` since the reference
-positions.  With the default ``dirty_epsilon = 0.0`` the fast path is
-exact: any bitwise position change marks the affected sources dirty, so
-results always match a from-scratch analysis.  With a positive epsilon,
-reference positions only advance for cells that actually exceeded it,
-so slow drift cannot accumulate unnoticed — per-cell staleness stays
-bounded by epsilon at all times.
+a cell whose position changed since the previous analysis.  Any bitwise
+position change marks the affected sources dirty, so the fast path is
+exact: results always match a from-scratch analysis.
 
-The arithmetic mirrors the scalar engine expression by expression (same
-association order wherever numpy allows); the one intentional deviation
-is ``np.log`` vs ``math.log`` inside the buffer-tree level count, whose
-result is integral and insensitive to last-ulp log differences except
-exactly at a level boundary.  The equivalence suite in
-``tests/timing/test_sta_vec.py`` pins scalar-vs-vectorized agreement to
-1e-9 ps on all bundled ISCAS89 circuits and on hypothesis-generated
-random netlists.
+This is the flow's only STA engine.  The arithmetic mirrors the scalar
+engine expression by expression (same association order wherever numpy
+allows); the one intentional deviation is ``np.log`` vs ``math.log``
+inside the buffer-tree level count, whose result is integral and
+insensitive to last-ulp log differences except exactly at a level
+boundary.  The equivalence suite in ``tests/timing/test_sta_vec.py``
+pins scalar-vs-vectorized agreement to 1e-9 ps on all bundled ISCAS89
+circuits and on hypothesis-generated random netlists, and
+``tests/oracles/flow_ref.py`` reruns the whole flow on the scalar engine
+to check that every flow decision is unchanged.
 """
 
 from __future__ import annotations
@@ -430,17 +428,13 @@ class VectorizedTiming:
 
     Call :meth:`analyze` with a placement to get a
     :class:`TimingSnapshot`; repeated calls reuse the cached structural
-    pass and, when ``dirty_epsilon`` permits, re-propagate only the
-    sources whose support set actually moved.
+    pass and re-propagate only the sources whose support set actually
+    moved.
 
     Parameters
     ----------
     circuit, tech:
         As for :class:`~repro.timing.sta.SequentialTiming`.
-    dirty_epsilon:
-        Manhattan per-axis movement threshold below which a cell is
-        treated as stationary.  ``0.0`` (default) keeps the incremental
-        path bit-exact with a from-scratch analysis.
     collector:
         Observability sink for cache/dirty-set counters.
     jobs:
@@ -455,15 +449,11 @@ class VectorizedTiming:
         circuit: Circuit,
         tech: Technology,
         *,
-        dirty_epsilon: float = 0.0,
         collector: Collector = NULL_COLLECTOR,
         jobs: int = 1,
     ) -> None:
-        if dirty_epsilon < 0.0:
-            raise ValueError("dirty_epsilon must be non-negative")
         self.circuit = circuit
         self.tech = tech
-        self.dirty_epsilon = float(dirty_epsilon)
         self.collector = collector
         self.jobs = max(1, int(jobs))
         self.structure = get_structure(circuit, tech, collector)
@@ -484,23 +474,14 @@ class VectorizedTiming:
 
         if self._ref_x is None or self._ref_y is None:
             dirty_src: _I64 | None = None  # all sources
-            self._ref_x, self._ref_y = pos_x.copy(), pos_y.copy()
         else:
-            eps = self.dirty_epsilon
-            moved = (np.abs(pos_x - self._ref_x) > eps) | (
-                np.abs(pos_y - self._ref_y) > eps
-            )
+            moved = (pos_x != self._ref_x) | (pos_y != self._ref_y)
             if not moved.any():
                 obs.count("sta.sources-reused", s.num_sources)
                 obs.gauge("sta.dirty-set-size", 0)
                 snap = self._snapshot
                 assert snap is not None
                 return snap
-            # Advance reference positions only for cells that exceeded
-            # epsilon: a slowly drifting cell eventually trips the
-            # threshold instead of staying stale forever.
-            self._ref_x[moved] = pos_x[moved]
-            self._ref_y[moved] = pos_y[moved]
             hits = np.add.reduceat(
                 moved[s.support_cells].astype(np.int64), s.support_ptr[:-1]
             )
@@ -509,6 +490,7 @@ class VectorizedTiming:
                 dirty_src = None
             else:
                 dirty_src = np.flatnonzero(touched)
+        self._ref_x, self._ref_y = pos_x, pos_y
 
         with obs.span("sta.positional", circuit=self.circuit.name):
             self._positional_pass(pos_x, pos_y, dirty_src)

@@ -14,6 +14,8 @@ from repro.errors import CostMatrixError
 from repro.geometry import BBox, Point
 from repro.rotary import RingArray
 
+from oracles import cost_ref
+
 TECH = DEFAULT_TECHNOLOGY
 
 
@@ -35,16 +37,9 @@ class TestVectorizedBuilder:
         array, positions, targets = setup
         for k in (None, 1, 2, 4):
             vec = tapping_cost_matrix(array, positions, targets, TECH, k)
-            ref = tapping_cost_matrix(
-                array, positions, targets, TECH, k, method="scalar"
-            )
+            ref = cost_ref.tapping_cost_matrix(array, positions, targets, TECH, k)
             assert vec.ff_names == ref.ff_names
             assert np.array_equal(vec.costs, ref.costs)
-
-    def test_unknown_method_rejected(self, setup):
-        array, positions, targets = setup
-        with pytest.raises(CostMatrixError):
-            tapping_cost_matrix(array, positions, targets, TECH, method="turbo")
 
     def test_candidate_columns(self, setup):
         array, positions, targets = setup
@@ -66,9 +61,7 @@ class TestValidation:
     def test_unknown_target_name_raises_scalar_path(self, setup):
         array, positions, targets = setup
         with pytest.raises(CostMatrixError):
-            tapping_cost_matrix(
-                array, positions, {"nope": 1.0}, TECH, method="scalar"
-            )
+            cost_ref.tapping_cost_matrix(array, positions, {"nope": 1.0}, TECH)
 
     def test_cache_validates_too(self, setup):
         array, positions, targets = setup

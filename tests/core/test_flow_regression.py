@@ -11,6 +11,8 @@ import pytest
 from repro import FlowOptions, IntegratedFlow
 from repro.netlist import PROFILES, generate_named
 
+from oracles.flow_ref import reference_engines
+
 
 @pytest.fixture(scope="module")
 def s9234_result():
@@ -71,28 +73,15 @@ class TestDeterminism:
 
 class TestEngineEquivalence:
     """The vectorized STA engine and prefactored placer assembly are
-    drop-in replacements: the full flow must make *identical* decisions
+    drop-in replacements for the scalar STA and triplet rebuild kept in
+    ``oracles``: the full flow must make *identical* decisions
     (iteration count, tapping cost, schedule, positions) either way."""
 
     def test_vectorized_matches_scalar_flow(self):
-        circuit = generate_named("s9234")
-        side = PROFILES["s9234"].ring_grid_side
-        fast = IntegratedFlow(
-            circuit,
-            options=FlowOptions(
-                ring_grid_side=side,
-                sta_engine="vectorized",
-                placer_assembly="prefactored",
-            ),
-        ).run()
-        slow = IntegratedFlow(
-            generate_named("s9234"),
-            options=FlowOptions(
-                ring_grid_side=side,
-                sta_engine="scalar",
-                placer_assembly="triplets",
-            ),
-        ).run()
+        options = FlowOptions(ring_grid_side=PROFILES["s9234"].ring_grid_side)
+        fast = IntegratedFlow(generate_named("s9234"), options=options).run()
+        with reference_engines():
+            slow = IntegratedFlow(generate_named("s9234"), options=options).run()
         assert len(fast.history) == len(slow.history)
         assert fast.final.tapping_wirelength == slow.final.tapping_wirelength
         assert fast.final.signal_wirelength == slow.final.signal_wirelength

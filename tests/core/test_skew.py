@@ -11,8 +11,9 @@ from repro.core import (
 )
 from repro.errors import SkewOptimizationError
 from repro.geometry import BBox, Point
+from repro.opt import maximize_slack
 from repro.rotary import RingArray, stub_delay
-from repro.timing import PathBounds, validate_schedule
+from repro.timing import PathBounds, skew_constraints, validate_schedule
 
 TECH = DEFAULT_TECHNOLOGY
 T = 1000.0
@@ -40,21 +41,23 @@ class TestMaxSlack:
         ) != []
 
     def test_lp_and_graph_backends_agree(self, tiny_timing, tiny_circuit):
+        """The flow's LP optimum matches the difference-constraint graph
+        formulation's binary search, and the graph schedule is valid."""
         ffs = [ff.name for ff in tiny_circuit.flip_flops]
-        lp = max_slack_schedule(tiny_timing.pairs, ffs, T, TECH, backend="lp")
-        graph = max_slack_schedule(tiny_timing.pairs, ffs, T, TECH, backend="graph")
-        assert lp.slack == pytest.approx(graph.slack, abs=0.01)
+        lp = max_slack_schedule(tiny_timing.pairs, ffs, T, TECH)
+        slack, schedule = maximize_slack(
+            ffs, skew_constraints(tiny_timing.pairs, T, TECH)
+        )
+        assert lp.slack == pytest.approx(slack, abs=0.01)
+        # Unconstrained flip-flops default to zero skew.
+        targets = {ff: schedule.get(ff, 0.0) for ff in ffs}
         assert validate_schedule(
-            graph.targets, tiny_timing.pairs, T, TECH, slack=graph.slack - 0.01
+            targets, tiny_timing.pairs, T, TECH, slack=slack - 0.01
         ) == []
 
     def test_no_flipflops_rejected(self):
         with pytest.raises(SkewOptimizationError):
             max_slack_schedule({}, [], T, TECH)
-
-    def test_unknown_backend(self):
-        with pytest.raises(SkewOptimizationError):
-            max_slack_schedule({}, ["a"], T, TECH, backend="quantum")
 
     def test_acyclic_pairs_slack_capped(self):
         """Without cycles the slack is capped at one period, not infinite."""

@@ -1,7 +1,7 @@
 """Byte-identity of the block-assembled skew LPs vs row-by-row assembly.
 
 The scale path assembles the §IV max-slack LP and the cost-driven timing
-rows as single COO blocks; the ``*_loops`` twins keep the original
+rows as single COO blocks; ``oracles.skew_lp_ref`` keeps the original
 per-pair construction.  Both must lower to byte-identical arrays —
 same CSR structure, same rhs, same objective — on arbitrary pair sets,
 including self-loop pairs (whose t terms cancel to a vacuous row) and
@@ -17,19 +17,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.constants import DEFAULT_TECHNOLOGY
-from repro.core.skew_cost_driven import (
-    _add_timing_constraints,
-    _add_timing_constraints_loops,
-)
+from repro.core.skew_cost_driven import _add_timing_constraints
 from repro.core.skew_traditional import (
     _max_slack_lp,
-    _max_slack_lp_loops,
     _pair_index_arrays,
     max_slack_schedule,
 )
 from repro.errors import SkewOptimizationError
 from repro.opt import LinearProgram
 from repro.timing import PathBounds
+
+from oracles.skew_lp_ref import add_timing_constraints_loops, max_slack_lp_loops
 
 TECH = DEFAULT_TECHNOLOGY
 PERIOD = 1000.0
@@ -82,14 +80,14 @@ class TestMaxSlackBlockAssembly:
         pairs = _random_pairs(rng, ffs, n_pairs, self_loops)
         assert_same_model(
             _max_slack_lp(pairs, ffs, PERIOD, TECH),
-            _max_slack_lp_loops(pairs, ffs, PERIOD, TECH),
+            max_slack_lp_loops(pairs, ffs, PERIOD, TECH),
         )
 
     def test_self_loop_constrains_m_alone(self):
         pairs = {("ff0", "ff0"): PathBounds(d_min=100.0, d_max=400.0)}
         assert_same_model(
             _max_slack_lp(pairs, ["ff0"], PERIOD, TECH),
-            _max_slack_lp_loops(pairs, ["ff0"], PERIOD, TECH),
+            max_slack_lp_loops(pairs, ["ff0"], PERIOD, TECH),
         )
 
     def test_schedule_unchanged_through_block_path(self):
@@ -99,7 +97,7 @@ class TestMaxSlackBlockAssembly:
         ffs = [f"ff{i}" for i in range(8)]
         pairs = _random_pairs(rng, ffs, 20, self_loops=False)
         via_block = max_slack_schedule(pairs, ffs, PERIOD, TECH)
-        via_loops = _max_slack_lp_loops(pairs, ffs, PERIOD, TECH).solve()
+        via_loops = max_slack_lp_loops(pairs, ffs, PERIOD, TECH).solve()
         assert via_block.slack == pytest.approx(-via_loops.objective)
 
     def test_unknown_flip_flop_raises(self):
@@ -128,6 +126,6 @@ class TestTimingConstraintBlocks:
             for ff in ffs:
                 lp.add_var(f"t_{ff}", lb=float("-inf"))
         _add_timing_constraints(blk, pairs, ffs, PERIOD, TECH, slack)
-        _add_timing_constraints_loops(loops, pairs, PERIOD, TECH, slack)
+        add_timing_constraints_loops(loops, pairs, PERIOD, TECH, slack)
         assert blk.num_constraints == loops.num_constraints == 2 * len(pairs)
         assert_same_model(blk, loops)

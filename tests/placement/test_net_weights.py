@@ -4,7 +4,8 @@ The timing-driven flow up-weights critical nets, but the default path —
 no weights, or any mapping whose values are all exactly 1.0 — must emit
 the same COO triplet stream as before the feature existed, so the
 placements compare with exact ``Point`` equality (no tolerance), under
-both assembly modes and with pseudo-nets/stability anchors in play.
+both the prefactored assembly and the triplet-rebuild oracle, and with
+pseudo-nets/stability anchors in play.
 Invalid weights (NaN, inf, negative, unknown net) must be rejected up
 front with a :class:`PlacementError` naming the offender, never
 silently folded into the Laplacian.
@@ -22,11 +23,12 @@ from repro.errors import PlacementError
 from repro.geometry import Point
 from repro.netlist import generate_circuit, small_profile
 from repro.placement import (
-    PlacerOptions,
     PseudoNet,
     QuadraticPlacer,
     region_for_circuit,
 )
+
+from oracles.placer_ref import TripletsPlacer
 
 TECH = DEFAULT_TECHNOLOGY
 
@@ -41,13 +43,12 @@ def assert_identical(a: dict, b: dict) -> None:
         assert a[name] == b[name], name  # exact Point equality, no tolerance
 
 
+#: The production placer and the triplet-rebuild oracle, by assembly.
+PLACERS = {"prefactored": QuadraticPlacer, "triplets": TripletsPlacer}
+
+
 def make_placer(assembly: str, net_weights=None) -> QuadraticPlacer:
-    return QuadraticPlacer(
-        CIRCUIT,
-        REGION,
-        PlacerOptions(assembly=assembly),
-        net_weights=net_weights,
-    )
+    return PLACERS[assembly](CIRCUIT, REGION, net_weights=net_weights)
 
 
 def anchor_kwargs(seed: int) -> dict:

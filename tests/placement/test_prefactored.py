@@ -1,9 +1,9 @@
 """Bit-identity of the prefactored Laplacian assembly vs triplet rebuilds.
 
-The prefactored path caches the spring/star/epsilon base triplets at
-construction and splices per-call anchors on top; because the final COO
-triplet stream is element-for-element identical to what the per-call
-("triplets") assembly produces, scipy's duplicate folding and the CG
+The placer caches the spring/star/epsilon base triplets at construction
+and splices per-call anchors on top; because the final COO triplet
+stream is element-for-element identical to what the per-call rebuild of
+``oracles.placer_ref`` produces, scipy's duplicate folding and the CG
 solve see bit-identical inputs and the placements must match *exactly*
 (``Point`` equality, not approx).
 
@@ -19,20 +19,21 @@ from repro.geometry import Point
 from repro.netlist import generate_circuit, small_profile
 from repro.placement import (
     IncrementalOptions,
-    PlacerOptions,
     PseudoNet,
     QuadraticPlacer,
     incremental_place,
     region_for_circuit,
 )
 
+from oracles.placer_ref import TripletsPlacer
+
 TECH = DEFAULT_TECHNOLOGY
 
 
 def make_placers(circuit):
     region = region_for_circuit(circuit, TECH)
-    pre = QuadraticPlacer(circuit, region, PlacerOptions(assembly="prefactored"))
-    tri = QuadraticPlacer(circuit, region, PlacerOptions(assembly="triplets"))
+    pre = QuadraticPlacer(circuit, region)
+    tri = TripletsPlacer(circuit, region)
     return region, pre, tri
 
 

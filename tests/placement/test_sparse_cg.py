@@ -7,13 +7,13 @@ baseline) must land on the same minimizer of the same quadratic — the
 positions may differ only by solver tolerance, far below anything the
 downstream flow quantizes on.  The flow-level test then pins the actual
 decisions: running the integrated flow with the preconditioned solver
-must reproduce the default flow's ring assignment and schedule.
+(auto-selected by lowering its threshold) must reproduce the default
+flow's ring assignment and schedule.
 """
 
 import pytest
 
 from repro.constants import DEFAULT_TECHNOLOGY
-from repro.core import FlowOptions
 from repro.netlist import PROFILE_ORDER, generate_named
 from repro.placement import PlacerOptions, QuadraticPlacer, region_for_circuit
 import repro.placement.quadratic as quadratic_mod
@@ -100,11 +100,12 @@ class TestSolverModeEquivalence:
 
 
 class TestFlowDecisionsUnchanged:
-    def test_pcg_flow_reproduces_default_decisions(self):
+    def test_pcg_flow_reproduces_default_decisions(self, monkeypatch):
         """The §V flow's discrete decisions — ring assignment, iteration
         count, schedule — are invariant to the cg->pcg solver swap."""
         default = run_flow("s5378")
-        pcg = run_flow("s5378", options=FlowOptions(placer_solver="pcg"))
+        monkeypatch.setattr(quadratic_mod, "_PCG_AUTO_THRESHOLD", 0)
+        pcg = run_flow("s5378")
         assert pcg.assignment.ring_of == default.assignment.ring_of
         assert len(pcg.history) == len(default.history)
         assert set(pcg.schedule.targets) == set(default.schedule.targets)

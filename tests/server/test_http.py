@@ -14,7 +14,7 @@ import urllib.request
 
 import pytest
 
-from repro.api import FlowRequest, JobState, JobStatus
+from repro.api import API_VERSION, FlowRequest, JobState, JobStatus
 from repro.core import FlowOptions
 from repro.errors import SaturatedError, ServerError
 from repro.obs import TraceCollector
@@ -118,16 +118,26 @@ class TestEndpoints:
         with pytest.raises(ServerError, match="404"):
             client._check(*client._call("POST", "/v1/nope", {}))
 
-    def test_malformed_document_is_400(self, server):
+    def _post_flow(self, server, doc: dict) -> int:
+        """POST ``doc`` to the flow endpoint; the HTTP error status."""
         request = urllib.request.Request(
             server.url + "/v1/flows",
-            data=b'{"api_version": "v1", "kind": "flow"}',  # missing circuit
+            data=json.dumps(doc).encode(),
             headers={"Content-Type": "application/json"},
             method="POST",
         )
         with pytest.raises(urllib.error.HTTPError) as exc_info:
             urllib.request.urlopen(request, timeout=10.0)
-        assert exc_info.value.code == 400
+        return exc_info.value.code
+
+    def test_malformed_document_is_400(self, server):
+        doc = {"api_version": API_VERSION, "kind": "flow"}  # missing circuit
+        assert self._post_flow(server, doc) == 400
+
+    def test_invalid_options_are_400(self, server):
+        doc = REQUEST.to_dict()
+        doc["options"]["assignment"] = "Flow"
+        assert self._post_flow(server, doc) == 400
 
     def test_result_before_terminal_is_409(self, server, client):
         # Submit directly to the store, bypassing the dispatcher, so the

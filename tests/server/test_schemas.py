@@ -155,10 +155,12 @@ class TestSchemaRejections:
             FlowRequest.from_dict(doc)
 
     def test_wrong_api_version_rejected(self):
-        doc = FlowRequest(circuit="s27").to_dict()
-        doc["api_version"] = "v0"
-        with pytest.raises(ReproError, match=API_VERSION):
-            FlowRequest.from_dict(doc)
+        # "v1" documents still carry the five FlowOptions fields v2 removed.
+        for version in ("v0", "v1"):
+            doc = FlowRequest(circuit="s27").to_dict()
+            doc["api_version"] = version
+            with pytest.raises(ReproError, match=API_VERSION):
+                FlowRequest.from_dict(doc)
 
     def test_wrong_kind_rejected(self):
         doc = FlowRequest(circuit="s27").to_dict()

@@ -1,5 +1,7 @@
 """Tests for the repro.api facade and the options dict round-trips."""
 
+import math
+
 import pytest
 
 import repro
@@ -102,8 +104,39 @@ class TestFlowOptionsRoundTrip:
         assert FlowOptions.from_dict(data) == opts
 
     def test_from_dict_rejects_unknown(self):
-        with pytest.raises(ReproError, match="unknown FlowOptions field"):
-            FlowOptions.from_dict({"ring_grid_side": 2, "bogus": 1})
+        # Besides a made-up name, the five fields API v2 removed.
+        for name in (
+            "bogus",
+            "sta_engine",
+            "sta_dirty_epsilon",
+            "placer_assembly",
+            "placer_solver",
+            "assignment_warm_start",
+        ):
+            with pytest.raises(ReproError, match=f"unknown FlowOptions field.*{name}"):
+                FlowOptions.from_dict({"ring_grid_side": 2, name: 1})
+
+    @pytest.mark.parametrize(
+        ("field", "value"),
+        [
+            ("assignment", "Flow"),
+            ("assignment", "mcf"),
+            ("skew_mode", "max"),
+            ("net_weighting", "typo"),
+            ("max_iterations", 0),
+            ("max_iterations", -1),
+            ("period", 0.0),
+            ("period", -1000.0),
+            ("period", math.nan),
+            ("period", math.inf),
+        ],
+    )
+    def test_invalid_value_rejected(self, field, value):
+        """Bad values fail when the options are built, naming the field."""
+        with pytest.raises(ReproError, match=rf"FlowOptions\.{field}.*{value!r}"):
+            FlowOptions(**{field: value})
+        with pytest.raises(ReproError, match=rf"FlowOptions\.{field}"):
+            FlowOptions().replace(**{field: value})
 
     def test_replace(self):
         opts = FlowOptions()

@@ -107,6 +107,20 @@ class TestDirtySetIncremental:
         assert_equivalent(scalar, incremental)
         assert_equivalent(scalar, fresh)
 
+    def test_single_axis_moves_mark_cells_dirty(self):
+        """A cell that moves along one axis only must re-propagate too."""
+        circuit = generate_named("s5378")
+        engine = VectorizedTiming(circuit, TECH)
+        positions = random_positions(circuit, seed=5)
+        engine.analyze(positions)
+        rng = random.Random(6)
+        for axis in ("x", "y"):
+            for name in rng.sample(sorted(positions), 10):
+                p, v = positions[name], rng.uniform(0.0, 4000.0)
+                positions[name] = Point(v, p.y) if axis == "x" else Point(p.x, v)
+            snap = engine.analyze(positions)
+            assert_equivalent(SequentialTiming(circuit, positions, TECH), snap)
+
     def test_no_movement_reuses_snapshot(self):
         circuit = generate_named("s5378")
         engine = VectorizedTiming(circuit, TECH)
@@ -129,11 +143,6 @@ class TestDirtySetIncremental:
             snap = engine.analyze(positions)
         scalar = SequentialTiming(circuit, positions, TECH)
         assert_equivalent(scalar, snap)
-
-    def test_negative_epsilon_rejected(self):
-        circuit = generate_named("s5378")
-        with pytest.raises(ValueError):
-            VectorizedTiming(circuit, TECH, dirty_epsilon=-1.0)
 
 
 class TestStructureCache:
