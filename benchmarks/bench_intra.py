@@ -11,12 +11,22 @@ Speedup gates scale with the machine: >= 2x with at least 2 cores,
 >= 3x with at least 4 (per the PR acceptance criteria); on a single
 core the timing gate is vacuous and only the identity gates apply.
 
+The ungated ``pair_kernel`` block separates chunk width from
+parallelism.  ``batch_solve_rings`` splits the pairs 16384 wide at
+``jobs=1`` and 512 wide above, so the gated jobs=1-vs-N ratio mixes
+both effects; the block times the cost matrix's candidate pairs at
+``jobs=1`` with both widths and at ``jobs=N``, in interleaved rounds,
+and reports each configuration's median.
+
 Writes ``BENCH_intra.json``::
 
     {
       "cpu_count": ...,
       "cost_matrix": {"flipflops": ..., "rings": ..., "serial_s": ...,
                       "parallel_s": ..., "jobs": ..., "speedup": ...},
+      "pair_kernel": {"pairs": ..., "rounds": ..., "bytes_identical": ...,
+                      "runs": [{"jobs": ..., "pairs_per_chunk": ...,
+                                "median_s": ..., "min_s": ..., "max_s": ...}]},
       "flow_identity": {"circuit": "scale10k", "digest_serial": ...,
                         "digest_auto": ...},
       "failures": [...]
@@ -42,10 +52,14 @@ from repro.constants import DEFAULT_TECHNOLOGY
 from repro.core import FlowOptions, tapping_cost_matrix
 from repro.geometry import BBox, Point
 from repro.netlist import ALL_PROFILES
+from repro.opt import FORBIDDEN_COST
 from repro.rotary import RingArray
+from repro.rotary.tapping_vec import batch_solve_rings
 
 #: The scale10k profile's Fig. 3 workload shape (1250 FFs, 100 rings).
 PROFILE = "scale10k"
+#: Interleaved timing rounds of the pair-kernel block.
+PAIR_ROUNDS = 8
 
 
 def required_speedup(cores: int) -> float | None:
@@ -95,6 +109,53 @@ def time_cost_matrix(jobs: int, repeats: int) -> tuple[float, bytes]:
         best = min(best, time.perf_counter() - t0)
         payload = matrix.costs.tobytes()
     return best, payload
+
+
+def time_pair_kernel(jobs: int) -> dict:
+    """Median pair-kernel times at jobs=1 (both chunk widths) and ``jobs``.
+
+    The pairs are the cost matrix's candidate (flip-flop, ring) arcs in
+    its ring-major order; the configurations run round-robin so drift
+    in machine speed lands on all of them alike.
+    """
+    array, positions, targets = cost_matrix_workload()
+    matrix = tapping_cost_matrix(
+        array, positions, targets, DEFAULT_TECHNOLOGY, candidate_rings=8
+    )
+    rid, fid = np.nonzero(matrix.costs.T < FORBIDDEN_COST)
+    px = np.array([positions[name].x for name in matrix.ff_names])[fid]
+    py = np.array([positions[name].y for name in matrix.ff_names])[fid]
+    tg = np.array([targets[name] for name in matrix.ff_names])[fid]
+    # 16384 and 512 are the widths batch_solve_rings uses at jobs=1 and
+    # jobs > 1 respectively.
+    configs = [(1, 16384), (1, 512), (jobs, 512)]
+    times: list[list[float]] = [[] for _ in configs]
+    payloads: set[bytes] = set()
+    for _ in range(PAIR_ROUNDS):
+        for k, (n_jobs, width) in enumerate(configs):
+            t0 = time.perf_counter()
+            result = batch_solve_rings(
+                array, rid, px, py, tg, DEFAULT_TECHNOLOGY,
+                pairs_per_chunk=width, jobs=n_jobs,
+            )
+            times[k].append(time.perf_counter() - t0)
+            payloads.add(result.wirelength.tobytes() + result.x.tobytes())
+    runs = [
+        {
+            "jobs": n_jobs,
+            "pairs_per_chunk": width,
+            "median_s": float(np.median(series)),
+            "min_s": min(series),
+            "max_s": max(series),
+        }
+        for (n_jobs, width), series in zip(configs, times)
+    ]
+    return {
+        "pairs": int(rid.size),
+        "rounds": PAIR_ROUNDS,
+        "bytes_identical": len(payloads) == 1,
+        "runs": runs,
+    }
 
 
 def flow_digest(jobs: int | str, max_iterations: int) -> str:
@@ -166,6 +227,20 @@ def main(argv: list[str] | None = None) -> int:
         )
 
     print(
+        f"[bench_intra] pair kernel: jobs=1 at 16384 and 512 pairs/chunk "
+        f"vs jobs={auto_jobs}, {PAIR_ROUNDS} interleaved rounds ...",
+        flush=True,
+    )
+    pair_kernel = time_pair_kernel(auto_jobs)
+    for run in pair_kernel["runs"]:
+        print(
+            f"[bench_intra]   jobs={run['jobs']} at {run['pairs_per_chunk']} "
+            f"pairs/chunk: median {run['median_s']:.3f}s "
+            f"({run['min_s']:.3f}-{run['max_s']:.3f}s)",
+            flush=True,
+        )
+
+    print(
         f"[bench_intra] flow digest identity on {PROFILE} "
         f"({args.flow_iterations} iterations) ...",
         flush=True,
@@ -195,6 +270,7 @@ def main(argv: list[str] | None = None) -> int:
             "speedup": speedup,
             "required_speedup": gate,
         },
+        "pair_kernel": pair_kernel,
         "flow_identity": {
             "circuit": PROFILE,
             "iterations": args.flow_iterations,

@@ -16,9 +16,10 @@ Usage (also via ``python -m repro``)::
 
 Every command shares one exit-code contract (:class:`ExitCode`):
 0 = success / no findings at or above ``--fail-on``,
-1 = findings at or above the threshold, partial tables, or a failed or
-shed server job, 2 = usage or configuration error (unknown rule code,
-bad severity, unreadable input or output path, unreachable server).
+1 = findings at or above the threshold, partial tables, a failed run,
+or a failed or shed server job, 2 = usage or configuration error
+(unknown rule code, bad severity, a flag value the flow options reject,
+unreadable input or output path, unreachable server).
 """
 
 from __future__ import annotations
@@ -27,11 +28,13 @@ import argparse
 import enum
 import json
 import sys
-from typing import Any, Callable, Mapping
+from contextlib import contextmanager
+from typing import Any, Callable, Iterator, Mapping
 
 from .api import TablesRequest, flow_options, run_flow
 from .constants import DEFAULT_TECHNOLOGY, frequency_ghz
 from .core import FlowOptions, sweep_ring_count
+from .errors import ReproError
 from .netlist import ALL_PROFILES, PROFILE_ORDER, generate_named
 
 
@@ -40,7 +43,8 @@ class ExitCode(enum.IntEnum):
 
     OK = 0
     #: Findings at/above the failure threshold (check/lint), partial
-    #: tables (some circuit failed), or a failed/shed server job.
+    #: tables (some circuit failed), a failed run, or a failed/shed
+    #: server job.
     FINDINGS = 1
     PARTIAL = 1  # alias: same exit code, tables/server wording
     #: Usage or configuration error.
@@ -127,18 +131,34 @@ def _parse_jobs_arg(text: str) -> int | str:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
+class _OptionsError(Exception):
+    """A flag value :class:`FlowOptions` rejected: a usage error."""
+
+
+@contextmanager
+def _flag_values() -> Iterator[None]:
+    """Report a ``ReproError`` raised while building options from flags
+    as :class:`_OptionsError`, so it maps to ``ExitCode.USAGE``."""
+    try:
+        yield
+    except ReproError as exc:
+        raise _OptionsError(str(exc)) from None
+
+
 def _options_from_args(args: argparse.Namespace) -> FlowOptions:
     """FlowOptions for a named benchmark from the common CLI flags."""
-    return flow_options(
-        args.circuit,
-        assignment=args.engine,
-        max_iterations=args.iterations,
-        period=args.period,
-        net_weighting=args.net_weighting,
-        critical_pairs_k=args.critical_k,
-        critical_weight=args.critical_weight,
-        jobs=args.jobs,
-    )
+    with _flag_values():
+        options = flow_options(
+            args.circuit,
+            assignment=args.engine,
+            max_iterations=args.iterations,
+            period=args.period,
+            net_weighting=args.net_weighting,
+            critical_pairs_k=args.critical_k,
+            critical_weight=args.critical_weight,
+            jobs=args.jobs,
+        )
+    return options
 
 
 def cmd_run(args: argparse.Namespace) -> int:
@@ -339,11 +359,12 @@ def _request_from_args(args: argparse.Namespace) -> Any:
             circuits=circuits or None,
             deadline_seconds=args.deadline or None,
         )
-    options = FlowOptions(
-        max_iterations=args.iterations,
-        period=args.period,
-        assignment=args.engine,
-    )
+    with _flag_values():
+        options = FlowOptions(
+            max_iterations=args.iterations,
+            period=args.period,
+            assignment=args.engine,
+        )
     if args.kind == "check":
         return CheckRequest(
             circuit=args.circuit,
@@ -433,33 +454,12 @@ def cmd_bench_info(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_bench(args: argparse.Namespace) -> int:
-    from .errors import ReproError
-    from .experiments.benchagg import update_trajectory
-
-    if not args.aggregate:
-        print("repro bench: nothing to do (pass --aggregate)",
-              file=sys.stderr)
-        return ExitCode.USAGE
-    try:
-        out_path = update_trajectory(args.root, args.output or None)
-    except ReproError as exc:
-        print(f"repro bench: {exc}", file=sys.stderr)
-        return ExitCode.USAGE
-    doc = json.loads(out_path.read_text())
-    benchmarks = doc.get("benchmarks", {})
-    print(f"wrote {out_path} (revision {doc.get('revisions')}, "
-          f"{len(benchmarks)} benchmarks)")
-    for name in sorted(benchmarks):
-        print(f"  {name}: {len(benchmarks[name])} metric series")
-    return ExitCode.OK
-
-
 def cmd_sweep_rings(args: argparse.Namespace) -> int:
     circuit = generate_named(args.circuit)
     sides = [int(s) for s in args.sides.split(",")]
-    options = FlowOptions(max_iterations=args.iterations, period=args.period,
-                          assignment=args.engine)
+    with _flag_values():
+        options = FlowOptions(max_iterations=args.iterations, period=args.period,
+                              assignment=args.engine)
     sweep = sweep_ring_count(circuit, DEFAULT_TECHNOLOGY, options, sides)
     print(f"{args.circuit}: ring-count sweep "
           f"(clock WL = tapping stubs + ring loops)")
@@ -689,29 +689,6 @@ def build_parser() -> argparse.ArgumentParser:
     info.add_argument("circuit", choices=sorted(ALL_PROFILES))
     info.set_defaults(func=cmd_bench_info)
 
-    bench = sub.add_parser(
-        "bench",
-        help="benchmark artifact tooling (baseline aggregation)",
-        description="Aggregate every BENCH_*.json artifact into "
-        "BENCH_trajectory.json: one numeric series per (benchmark, "
-        "metric) pair, indexed by a monotonically increasing revision "
-        "counter. Re-running after each benchmark crop appends one "
-        "revision, building a committed baseline history.",
-    )
-    bench.add_argument(
-        "--aggregate", action="store_true",
-        help="fold the current BENCH_*.json crop into the trajectory",
-    )
-    bench.add_argument(
-        "--root", default=".", metavar="DIR",
-        help="directory scanned for BENCH_*.json (default: .)",
-    )
-    bench.add_argument(
-        "--output", default="", metavar="FILE",
-        help="trajectory path (default: <root>/BENCH_trajectory.json)",
-    )
-    bench.set_defaults(func=cmd_bench)
-
     render = sub.add_parser("render", help="render the flow result as SVG")
     render.add_argument("circuit", choices=sorted(ALL_PROFILES))
     render.add_argument("-o", "--output", default="rotary.svg")
@@ -857,6 +834,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: The commands that build FlowOptions from flags and run the flow.
+_FLOW_COMMANDS = (
+    cmd_run, cmd_check, cmd_profile, cmd_render, cmd_sweep_rings, cmd_submit
+)
+
+
+def _failed_run(args: argparse.Namespace, exc: ReproError) -> int:
+    """A flow command whose run raised: one line on stderr, exit 1."""
+    if args.func not in _FLOW_COMMANDS:
+        raise exc
+    print(f"repro {args.command}: {exc}", file=sys.stderr)
+    return ExitCode.FINDINGS
+
+
 def main(argv: list[str] | None = None) -> int:
     from .errors import CheckError, NetlistError, SaturatedError, ServerError
 
@@ -868,6 +859,9 @@ def main(argv: list[str] | None = None) -> int:
         return ExitCode.USAGE
     try:
         return args.func(args)
+    except _OptionsError as exc:
+        print(f"repro {args.command}: {exc}", file=sys.stderr)
+        return ExitCode.USAGE
     except SaturatedError as exc:
         # The server shed the request (queue full or deadline passed).
         print(f"repro {args.command}: server saturated, retry after "
@@ -891,7 +885,11 @@ def main(argv: list[str] | None = None) -> int:
             print(f"repro {args.command}: cannot reach {args.server}: {exc}",
                   file=sys.stderr)
             return ExitCode.USAGE
-        raise
+        if isinstance(exc, OSError):
+            raise
+        return _failed_run(args, exc)
+    except ReproError as exc:
+        return _failed_run(args, exc)
 
 
 if __name__ == "__main__":

@@ -7,19 +7,15 @@ The 0-1 program
                sum_i x_ij <= U_j    (ring capacity)
 
 is totally unimodular and solved exactly as a min-cost network flow
-(Fig. 4).  Two backends:
-
-* ``"transportation"`` (default) — ring columns replicated to capacity,
-  solved by the C-implemented rectangular assignment kernel; fast enough
-  for the largest benchmark.
-* ``"ssp"`` — the from-scratch successive-shortest-path solver in
-  :mod:`repro.opt.mincostflow`, building the exact Fig. 4 network.
-  Slower; used for cross-validation.
+(Fig. 4): ring columns replicated to capacity, solved by the
+C-implemented rectangular assignment kernel
+(:func:`repro.opt.solve_transportation`) — fast enough for the largest
+benchmark.
 """
 
 from __future__ import annotations
 
-from typing import Literal, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 import numpy.typing as npt
@@ -28,12 +24,7 @@ from ..constants import Technology
 from ..errors import AssignmentError
 from ..geometry import Point
 from ..obs import NULL_COLLECTOR, Collector
-from ..opt.mincostflow import (
-    ArcRef,
-    FlowNetwork,
-    refine_assignment,
-    solve_transportation,
-)
+from ..opt.mincostflow import refine_assignment, solve_transportation
 from ..rotary import RingArray
 from .cost import (
     Assignment,
@@ -46,7 +37,6 @@ from .cost import (
 def assign_min_tapping_cost(
     matrix: TappingCostMatrix,
     capacities: Sequence[int],
-    backend: Literal["transportation", "ssp"] = "transportation",
     warm_start: npt.NDArray[np.intp] | None = None,
     collector: Collector = NULL_COLLECTOR,
 ) -> npt.NDArray[np.intp]:
@@ -63,52 +53,13 @@ def assign_min_tapping_cost(
         raise AssignmentError(
             f"capacities has {len(capacities)} entries for {matrix.num_rings} rings"
         )
-    if backend == "transportation":
-        if warm_start is not None:
-            refined = refine_assignment(
-                matrix.costs, np.asarray(capacities), warm_start
-            )
-            if refined is not None:
-                collector.count("assignment.warm.accepted")
-                return refined
-            collector.count("assignment.warm.rejected")
-        return solve_transportation(matrix.costs, np.asarray(capacities))
-    if backend == "ssp":
-        return _assign_via_ssp(matrix, capacities)
-    raise AssignmentError(f"unknown assignment backend {backend!r}")
-
-
-def _assign_via_ssp(
-    matrix: TappingCostMatrix, capacities: Sequence[int]
-) -> npt.NDArray[np.intp]:
-    """Build the literal Fig. 4 network and solve it with the SSP kernel."""
-    net = FlowNetwork()
-    n_ff = matrix.num_flipflops
-    arc_of: dict[tuple[int, int], ArcRef] = {}
-    for i in range(n_ff):
-        net.add_arc("source", ("ff", i), capacity=1, cost=0.0)
-        for j in matrix.candidates[i]:
-            # A repeated candidate ring would add a parallel arc whose
-            # ``arc_of`` entry overwrites the first; the unit of flow can
-            # then sit on the shadowed arc and vanish from the readback,
-            # leaving the flip-flop spuriously "unassigned".  The cost of
-            # a duplicate is identical (same matrix column), so the first
-            # arc is authoritative and duplicates are skipped.
-            if (i, int(j)) in arc_of:
-                continue
-            arc_of[(i, int(j))] = net.add_arc(
-                ("ff", i), ("ring", int(j)), capacity=1, cost=float(matrix.costs[i, j])
-            )
-    for j, cap in enumerate(capacities):
-        net.add_arc(("ring", j), "target", capacity=int(cap), cost=0.0)
-    result = net.solve({"source": n_ff, "target": -n_ff})
-    assign = np.full(n_ff, -1, dtype=np.intp)
-    for (i, j), ref in arc_of.items():
-        if result.flow_on(ref) > 0:
-            assign[i] = j
-    if (assign < 0).any():
-        raise AssignmentError("network flow left flip-flops unassigned")
-    return assign
+    if warm_start is not None:
+        refined = refine_assignment(matrix.costs, np.asarray(capacities), warm_start)
+        if refined is not None:
+            collector.count("assignment.warm.accepted")
+            return refined
+        collector.count("assignment.warm.rejected")
+    return solve_transportation(matrix.costs, np.asarray(capacities))
 
 
 def network_flow_assignment(
@@ -118,7 +69,6 @@ def network_flow_assignment(
     targets: Mapping[str, float],
     tech: Technology,
     capacities: Sequence[int] | None = None,
-    backend: Literal["transportation", "ssp"] = "transportation",
     cache: TappingCostCache | None = None,
     warm_start: npt.NDArray[np.intp] | None = None,
     collector: Collector = NULL_COLLECTOR,
@@ -135,15 +85,14 @@ def network_flow_assignment(
         if capacities is None
         else list(capacities)
     )
-    with collector.span("assignment.network-flow", backend=backend):
+    with collector.span("assignment.network-flow"):
         collector.count("assignment.flipflops", matrix.num_flipflops)
         collector.count(
             "assignment.candidate-arcs",
             sum(int(c.size) for c in matrix.candidates),
         )
         assign = assign_min_tapping_cost(
-            matrix, caps, backend=backend, warm_start=warm_start,
-            collector=collector,
+            matrix, caps, warm_start=warm_start, collector=collector
         )
         return realize_assignment(
             assign, matrix, array, positions, targets, tech, cache=cache

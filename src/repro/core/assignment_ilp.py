@@ -16,14 +16,14 @@ Solved by **LP relaxation + greedy rounding** (Fig. 5): relax to
 fractional flip-flop to its largest ``x_ij``.  The *integrality gap*
 ``IG = SOLN(ILP) / OPT(LP)`` (eq. 4) measures rounding quality; Table I
 compares it against a generic ILP solver under a time limit, reproduced
-here by :func:`generic_ilp_assignment` (branch & bound or HiGHS MILP).
+here by :func:`generic_ilp_assignment` (branch & bound).
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Any, Literal, Mapping, Sequence
+from typing import Any, Mapping, Sequence
 
 import numpy as np
 import numpy.typing as npt
@@ -176,13 +176,12 @@ def _max_load(cap_matrix: npt.NDArray[np.float64], assign: npt.NDArray[np.intp])
 
 def solve_minmax_cap(
     cap_matrix: npt.NDArray[np.float64],
-    backend: Literal["highs", "simplex"] = "highs",
     candidates: Sequence[npt.NDArray[np.intp]] | None = None,
 ) -> MinMaxCapResult:
     """LP relaxation + greedy rounding on a capacitance matrix."""
     start = time.monotonic()
     lp, candidates = build_minmax_lp(cap_matrix, integer=False, candidates=candidates)
-    sol = lp.solve(backend=backend)
+    sol = lp.solve()
     integral = 0
     for i, rings in enumerate(candidates):
         if any(sol.values.get(f"x_{i}_{j}", 0.0) >= 1.0 - 1e-9 for j in rings):
@@ -246,14 +245,13 @@ def local_search_minmax(
 
 def solve_minmax_cap_refined(
     cap_matrix: npt.NDArray[np.float64],
-    backend: Literal["highs", "simplex"] = "highs",
 ) -> MinMaxCapResult:
     """Greedy rounding followed by min-max local search.
 
     Same contract as :func:`solve_minmax_cap`; the returned solution is
     never worse.
     """
-    base = solve_minmax_cap(cap_matrix, backend=backend)
+    base = solve_minmax_cap(cap_matrix)
     start = time.monotonic()
     refined = local_search_minmax(cap_matrix, base.assign)
     value = _max_load(cap_matrix, refined)
@@ -280,26 +278,14 @@ class GenericIlpResult:
 def generic_ilp_assignment(
     cap_matrix: npt.NDArray[np.float64],
     time_limit: float | None = 60.0,
-    solver: Literal["branch_bound", "milp"] = "branch_bound",
 ) -> GenericIlpResult:
     """Solve eq. (3) with a *generic* exact solver under a time limit.
 
     This reproduces the Table I comparator (the paper used GLPK bounded
     to 10 hours and reported its best feasible solution; on three of five
-    circuits it produced none).
+    circuits it produced none) with the library's branch & bound.
     """
-    start = time.monotonic()
     lp, candidates = build_minmax_lp(cap_matrix, integer=True)
-    if solver == "milp":
-        sol = lp.solve(time_limit=time_limit)
-        assign = _extract_assign(sol.values, candidates)
-        return GenericIlpResult(
-            assign=assign,
-            objective=_max_load(cap_matrix, assign),
-            status=sol.status,
-            solve_seconds=time.monotonic() - start,
-            nodes_explored=0,
-        )
     result = branch_and_bound(lp, time_limit=time_limit)
     if result.status == "no_solution":
         return GenericIlpResult(

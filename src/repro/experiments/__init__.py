@@ -9,12 +9,6 @@ from .figures import (
     fig4_network_structure,
     fig5_greedy_rounding,
 )
-from .benchagg import (
-    TRAJECTORY_FILENAME,
-    TRAJECTORY_FORMAT_VERSION,
-    collect_bench_files,
-    update_trajectory,
-)
 from .checkpoint import (
     CHECKPOINT_FORMAT_VERSION,
     CheckpointStore,
@@ -54,10 +48,6 @@ __all__ = [
     "CHECKPOINT_FORMAT_VERSION",
     "CheckpointStore",
     "experiment_key",
-    "TRAJECTORY_FILENAME",
-    "TRAJECTORY_FORMAT_VERSION",
-    "collect_bench_files",
-    "update_trajectory",
     "ParallelOptions",
     "ParallelSuiteRunner",
     "SuiteRunReport",

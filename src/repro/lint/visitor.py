@@ -202,13 +202,13 @@ class DeterminismVisitor(ast.NodeVisitor):
     def _check_kernel_mutations(self, tree: ast.Module) -> None:
         """Flag module-state mutation inside ``@chunk_kernel`` functions.
 
-        Chunk kernels run concurrently on pool threads, or in forked
-        workers whose memory is thrown away — a module-level write is
-        either a data race or a result that silently differs between
-        the thread and process backends.  Purely syntactic: a decorator
-        spelled ``chunk_kernel(...)`` (bare or attribute-qualified)
-        marks the function; module-level names are the targets assigned
-        at module scope.
+        The chunks of one dispatch run concurrently on pool threads,
+        so a module-level write is a data race whose outcome depends on
+        thread scheduling: a hidden channel between chunks that breaks
+        the bit-identity of ``jobs=1`` and ``jobs=N``.  Purely
+        syntactic: a decorator spelled ``chunk_kernel(...)`` (bare or
+        attribute-qualified) marks the function; module-level names are
+        the targets assigned at module scope.
         """
         module_names = {
             name
@@ -259,9 +259,9 @@ class DeterminismVisitor(ast.NodeVisitor):
                         f"parallel chunk kernel {fn.name}() mutates "
                         f"module-level state {name!r}",
                         hint=(
-                            "kernels run concurrently and in forked "
-                            "workers; write only through the declared "
-                            "output views"
+                            "chunks run concurrently on pool threads; "
+                            "write only through the declared output "
+                            "views"
                         ),
                     )
                 )

@@ -1,4 +1,4 @@
-"""Optimization kernels: LP/ILP facade, simplex, min-cost flow, B&B, graphs."""
+"""Optimization kernels: LP/ILP facade, min-cost flow, B&B, graphs."""
 
 from .branch_bound import BBResult, branch_and_bound
 from .diffconstraints import (
@@ -16,12 +16,10 @@ from .mincostflow import (
     refine_assignment,
     solve_transportation,
 )
-from .simplex import solve_simplex
 
 __all__ = [
     "LinearProgram",
     "LPSolution",
-    "solve_simplex",
     "FlowNetwork",
     "FlowResult",
     "ArcRef",

@@ -1,14 +1,10 @@
 """A small linear-programming model facade.
 
-The paper solves its LPs with Soplex and its ILPs with GLPK.  This module
-provides the equivalent role: formulations elsewhere in the library build a
-:class:`LinearProgram` and stay solver-independent.  Two backends are
-available:
-
-* ``"highs"`` — scipy's HiGHS ``linprog`` (and ``milp`` when integer
-  variables are present); the default.
-* ``"simplex"`` — the from-scratch two-phase dense simplex in
-  :mod:`repro.opt.simplex`, used for cross-checking on small models.
+The paper solves its LPs with Soplex.  This module plays that role:
+formulations elsewhere in the library build a :class:`LinearProgram` and
+stay solver-independent, and :meth:`LinearProgram.solve` hands the model
+to scipy's HiGHS ``linprog`` (``milp`` when integer variables are
+present).
 """
 
 from __future__ import annotations
@@ -193,7 +189,7 @@ class LinearProgram:
 
     # ------------------------------------------------------------------
     def to_arrays(self) -> dict[str, object]:
-        """Lower to the matrix form consumed by the backends.
+        """Lower to the matrix form consumed by the solvers.
 
         Returns ``c, A_ub, b_ub, A_eq, b_eq, bounds, integrality, order``.
         Constraint matrices are scipy CSR (skew and assignment models have
@@ -269,36 +265,16 @@ class LinearProgram:
     # ------------------------------------------------------------------
     def solve(
         self,
-        backend: Literal["highs", "simplex"] = "highs",
         relax_integrality: bool = False,
         time_limit: float | None = None,
     ) -> LPSolution:
-        """Solve and return an :class:`LPSolution`.
+        """Solve with HiGHS and return an :class:`LPSolution`.
 
         Raises :class:`InfeasibleError` / :class:`UnboundedError` on those
         outcomes; any other solver failure raises
         :class:`OptimizationError`.
         """
         arrays = self.to_arrays()
-        if backend == "simplex":
-            from .simplex import solve_simplex
-
-            if self.has_integers and not relax_integrality:
-                raise OptimizationError("simplex backend cannot solve integer models")
-            a_ub = arrays["A_ub"].toarray() if arrays["A_ub"] is not None else None
-            a_eq = arrays["A_eq"].toarray() if arrays["A_eq"] is not None else None
-            x, obj = solve_simplex(
-                arrays["c"],
-                a_ub,
-                arrays["b_ub"],
-                a_eq,
-                arrays["b_eq"],
-                arrays["bounds"],
-            )
-            values = dict(zip(arrays["order"], (float(v) for v in x)))
-            return LPSolution("optimal", float(obj), values)
-        if backend != "highs":
-            raise OptimizationError(f"unknown LP backend {backend!r}")
         if self.has_integers and not relax_integrality:
             return self._solve_milp(arrays, time_limit)
         return self._solve_linprog(arrays)

@@ -18,14 +18,12 @@ Determinism contract (non-negotiable):
 * therefore results are bit-identical for ``jobs=1``, ``jobs=N``, and
   ``jobs="auto"``.
 
-Two dispatch surfaces:
+Two dispatch surfaces, both on one persistent thread pool (the chunk
+kernels are NumPy-bound and release the GIL inside ufunc loops):
 
-* :func:`run_chunk_tasks` — closure-based thread dispatch for kernels
-  whose NumPy inner loops release the GIL;
+* :func:`run_chunk_tasks` — closure-based dispatch;
 * :func:`run_kernel_chunks` — dispatch of a *registered* chunk kernel
-  (see :func:`chunk_kernel`) over a dict of named arrays; runs on the
-  thread pool by default and on a process pool with shared-memory
-  ``ndarray`` views when ``REPRO_PARALLEL_BACKEND=process``.
+  (see :func:`chunk_kernel`) over a dict of named arrays.
 
 Worker counts resolve through :func:`resolve_jobs`:
 ``FlowOptions(jobs=...)`` < ``REPRO_JOBS`` (the environment variable
@@ -35,7 +33,6 @@ documents — ``jobs`` is execution-only and digest-exempt either way).
 
 from .jobs import JOBS_ENV_VAR, jobs_from_env, parse_jobs, resolve_jobs
 from .pool import (
-    BACKEND_ENV_VAR,
     ChunkBounds,
     fixed_chunks,
     run_chunk_tasks,
@@ -43,16 +40,11 @@ from .pool import (
     shutdown_pools,
 )
 from .registry import ChunkKernel, chunk_kernel, registered_kernels, resolve_kernel
-from .shm import SharedArraySpec, SharedViewArena, attach_view
 
 __all__ = [
-    "BACKEND_ENV_VAR",
     "ChunkBounds",
     "ChunkKernel",
     "JOBS_ENV_VAR",
-    "SharedArraySpec",
-    "SharedViewArena",
-    "attach_view",
     "chunk_kernel",
     "fixed_chunks",
     "jobs_from_env",

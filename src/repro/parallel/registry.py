@@ -6,16 +6,14 @@ A *chunk kernel* is a module-level function
 
 that reads the input arrays in ``views`` and writes **only** the
 ``[lo:hi)`` slices of the output arrays in ``views``.  Registering a
-kernel by name (the :func:`chunk_kernel` decorator) makes it
-addressable from process-pool workers, which receive the name plus
-shared-memory array specs instead of pickled closures.
+kernel by name (the :func:`chunk_kernel` decorator) lets
+:func:`~repro.parallel.run_kernel_chunks` dispatch it by name.
 
 Pool-safety rules for kernels (enforced statically by the ``repro.lint``
 DET006 rule):
 
-* no mutation of module-level state — kernels may run concurrently on
-  pool threads or in forked workers, and mutations would be invisible
-  or racy;
+* no mutation of module-level state — chunks of one dispatch run
+  concurrently on pool threads, so such a write is a data race;
 * writes go only to the ``[lo:hi)`` output slices.
 """
 
@@ -31,9 +29,6 @@ ChunkKernel = Callable[[Mapping[str, npt.NDArray[Any]], int, int], None]
 
 _REGISTRY_LOCK = threading.Lock()
 _KERNELS: dict[str, ChunkKernel] = {}
-#: Defining module per kernel name, so spawn-based process workers can
-#: import the module that performs the registration.
-_KERNEL_MODULES: dict[str, str] = {}
 
 
 def chunk_kernel(name: str) -> Callable[[ChunkKernel], ChunkKernel]:
@@ -50,7 +45,6 @@ def chunk_kernel(name: str) -> Callable[[ChunkKernel], ChunkKernel]:
             if existing is not None and existing is not fn:
                 raise ValueError(f"chunk kernel {name!r} is already registered")
             _KERNELS[name] = fn
-            _KERNEL_MODULES[name] = fn.__module__
         return fn
 
     return register
@@ -59,9 +53,8 @@ def chunk_kernel(name: str) -> Callable[[ChunkKernel], ChunkKernel]:
 def resolve_kernel(name: str, module: str | None = None) -> ChunkKernel:
     """Look up a registered kernel, importing ``module`` if needed.
 
-    Fork-based process workers inherit the parent's registry; spawn-based
-    workers start empty, so the dispatcher ships the defining module name
-    alongside the kernel name and resolution imports it on first use.
+    ``module`` names the module that registers ``name``; it is imported
+    only when the kernel is not registered yet.
     """
     with _REGISTRY_LOCK:
         fn = _KERNELS.get(name)
@@ -74,15 +67,6 @@ def resolve_kernel(name: str, module: str | None = None) -> ChunkKernel:
         if fn is not None:
             return fn
     raise KeyError(f"unknown chunk kernel {name!r}")
-
-
-def kernel_module(name: str) -> str:
-    """Defining module of a registered kernel (for process dispatch)."""
-    with _REGISTRY_LOCK:
-        try:
-            return _KERNEL_MODULES[name]
-        except KeyError:
-            raise KeyError(f"unknown chunk kernel {name!r}") from None
 
 
 def registered_kernels() -> tuple[str, ...]:

@@ -392,28 +392,15 @@ def batch_solve(
 class _TechRC:
     """The two :class:`Technology` fields the pair kernel reads.
 
-    Chunk kernels receive every input as an ndarray view (so the
-    process backend can ship them through shared memory); the unit RC
-    constants round-trip through a two-element float array and are
-    rebuilt here — ``float`` conversion is exact, so results stay
-    bit-identical to passing the :class:`Technology` itself.
+    A registered chunk kernel receives its inputs as named ndarray
+    views only, so the unit RC constants travel as a two-element float
+    array and are rebuilt here — ``float`` conversion is exact, so
+    results stay bit-identical to passing the :class:`Technology`
+    itself.
     """
 
     unit_resistance: float
     unit_capacitance: float
-
-
-#: View names written by :func:`_solve_pairs_chunk` (disjoint slices).
-_PAIR_KERNEL_WRITES = (
-    "wirelength",
-    "segment_index",
-    "x",
-    "periods_borrowed",
-    "snaked",
-    "target_norm",
-    "point_x",
-    "point_y",
-)
 
 
 @chunk_kernel("tapping.solve-pairs")
@@ -478,10 +465,12 @@ def batch_solve_rings(
     results are bit-identical to per-ring :func:`batch_solve` calls over
     the same pairs.
 
-    ``jobs > 1`` dispatches the chunks to the :mod:`repro.parallel`
-    worker pool with a fixed (worker-count-independent) chunk width of
-    :data:`_PAIRS_PER_PARALLEL_CHUNK`; each chunk writes disjoint output
-    slices, so results are bit-identical for any ``jobs``.
+    The chunks run through the registered ``tapping.solve-pairs``
+    kernel: inline at ``jobs=1``, and on the :mod:`repro.parallel`
+    worker pool for ``jobs > 1`` with a fixed (worker-count-independent)
+    chunk width of at most :data:`_PAIRS_PER_PARALLEL_CHUNK`.  Each
+    chunk writes disjoint output slices, so results are bit-identical
+    for any ``jobs``.
     """
     ring_ids = np.asarray(ring_ids, dtype=np.intp)
     px = np.asarray(px, dtype=float)
@@ -509,82 +498,41 @@ def batch_solve_rings(
 
     if pairs_per_chunk <= 0:
         raise ValueError("pairs_per_chunk must be positive")
+    views: dict[str, np.ndarray] = {
+        "sx": sx,
+        "sy": sy,
+        "dx": dx,
+        "dy": dy,
+        "length": length,
+        "t0": t0,
+        "rho": rho,
+        "periods": periods,
+        "ring_ids": ring_ids,
+        "px": px,
+        "py": py,
+        "targets": targets,
+        "cf": np.asarray(cf_all),
+        "tech_rc": np.array([tech.unit_resistance, tech.unit_capacitance]),
+        "wirelength": wirelength,
+        "segment_index": segment_index,
+        "x": x,
+        "periods_borrowed": periods_borrowed,
+        "snaked": snaked,
+        "target_norm": target_norm,
+        "point_x": point_x,
+        "point_y": point_y,
+    }
+    chunk = pairs_per_chunk
     if jobs > 1:
-        views: dict[str, np.ndarray] = {
-            "sx": sx,
-            "sy": sy,
-            "dx": dx,
-            "dy": dy,
-            "length": length,
-            "t0": t0,
-            "rho": rho,
-            "periods": periods,
-            "ring_ids": ring_ids,
-            "px": px,
-            "py": py,
-            "targets": targets,
-            "cf": np.asarray(cf_all),
-            "tech_rc": np.array([tech.unit_resistance, tech.unit_capacitance]),
-            "wirelength": wirelength,
-            "segment_index": segment_index,
-            "x": x,
-            "periods_borrowed": periods_borrowed,
-            "snaked": snaked,
-            "target_norm": target_norm,
-            "point_x": point_x,
-            "point_y": point_y,
-        }
         chunk = min(pairs_per_chunk, _PAIRS_PER_PARALLEL_CHUNK)
-        run_kernel_chunks(
-            "tapping.solve-pairs",
-            views,
-            fixed_chunks(n, chunk),
-            writes=_PAIR_KERNEL_WRITES,
-            jobs=jobs,
-            collector=collector,
-            stage="tapping.pairs",
-        )
-        return RingPairsTappingResult(
-            ring_ids=ring_ids,
-            wirelength=wirelength,
-            segment_index=segment_index,
-            x=x,
-            periods_borrowed=periods_borrowed,
-            snaked=snaked,
-            target_delay=target_norm,
-            point_x=point_x,
-            point_y=point_y,
-        )
-    for lo in range(0, n, pairs_per_chunk):
-        hi = min(lo + pairs_per_chunk, n)
-        rid = ring_ids[lo:hi]
-        cf = cf_all[lo:hi] if np.ndim(cf_all) == 1 else cf_all
-        out = _solve_pairs(
-            sx[rid],
-            sy[rid],
-            dx[rid],
-            dy[rid],
-            length[rid],
-            t0[rid],
-            rho[rid],
-            periods[rid],
-            px[lo:hi],
-            py[lo:hi],
-            targets[lo:hi],
-            tech,
-            cf,
-        )
-        (
-            wirelength[lo:hi],
-            segment_index[lo:hi],
-            x[lo:hi],
-            periods_borrowed[lo:hi],
-            snaked[lo:hi],
-            target_norm[lo:hi],
-            point_x[lo:hi],
-            point_y[lo:hi],
-        ) = out
-
+    run_kernel_chunks(
+        "tapping.solve-pairs",
+        views,
+        fixed_chunks(n, chunk),
+        jobs=jobs,
+        collector=collector,
+        stage="tapping.pairs",
+    )
     return RingPairsTappingResult(
         ring_ids=ring_ids,
         wirelength=wirelength,

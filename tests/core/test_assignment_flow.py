@@ -14,6 +14,8 @@ from repro.errors import AssignmentError, InfeasibleError
 from repro.opt.mincostflow import FORBIDDEN_COST
 from repro.rotary import RingArray
 
+from oracles.assignment_ref import assign_via_ssp
+
 TECH = DEFAULT_TECHNOLOGY
 
 
@@ -56,10 +58,6 @@ class TestAssignMinCost:
         with pytest.raises(AssignmentError):
             assign_min_tapping_cost(matrix_from(np.ones((2, 2))), [1])
 
-    def test_unknown_backend(self):
-        with pytest.raises(AssignmentError):
-            assign_min_tapping_cost(matrix_from(np.ones((1, 1))), [1], backend="magic")
-
     def test_infeasible_capacity(self):
         with pytest.raises(InfeasibleError):
             assign_min_tapping_cost(matrix_from(np.ones((3, 1))), [2])
@@ -68,8 +66,8 @@ class TestAssignMinCost:
         rng = np.random.default_rng(0)
         costs = rng.uniform(0, 100, size=(8, 3))
         caps = [3, 3, 3]
-        a = assign_min_tapping_cost(matrix_from(costs), caps, backend="transportation")
-        b = assign_min_tapping_cost(matrix_from(costs), caps, backend="ssp")
+        a = assign_min_tapping_cost(matrix_from(costs), caps)
+        b = assign_via_ssp(matrix_from(costs), caps)
         cost_a = costs[np.arange(8), a].sum()
         cost_b = costs[np.arange(8), b].sum()
         assert cost_a == pytest.approx(cost_b)
@@ -80,7 +78,7 @@ class TestAssignMinCost:
         # of flow could then sit on the shadowed arc and the flip-flop
         # read back as unassigned (AssignmentError from a feasible
         # instance).  Duplicates must be ignored, and the result must
-        # match the transportation backend on the same matrix.
+        # match the transportation engine on the same matrix.
         costs = np.array([[1.0, 5.0], [4.0, 2.0], [3.0, 3.0]])
         names = tuple(f"ff{i}" for i in range(3))
         dup = TappingCostMatrix(
@@ -93,8 +91,8 @@ class TestAssignMinCost:
             ),
         )
         caps = [2, 2]
-        a = assign_min_tapping_cost(dup, caps, backend="ssp")
-        b = assign_min_tapping_cost(matrix_from(costs), caps, backend="transportation")
+        a = assign_via_ssp(dup, caps)
+        b = assign_min_tapping_cost(matrix_from(costs), caps)
         cost_a = costs[np.arange(3), a].sum()
         cost_b = costs[np.arange(3), b].sum()
         assert cost_a == pytest.approx(cost_b)
@@ -114,7 +112,10 @@ class TestAssignMinCost:
             caps[0] += n - sum(caps)
         assign = assign_min_tapping_cost(matrix_from(costs), caps)
         got = costs[np.arange(n), assign].sum()
-        assert got == pytest.approx(brute_force_optimum(costs, caps))
+        optimum = brute_force_optimum(costs, caps)
+        assert got == pytest.approx(optimum)
+        ssp = assign_via_ssp(matrix_from(costs), caps)
+        assert costs[np.arange(n), ssp].sum() == pytest.approx(optimum)
 
 
 class TestEndToEnd:

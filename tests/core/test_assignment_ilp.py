@@ -18,6 +18,8 @@ from repro.core import (
 from repro.errors import AssignmentError
 from repro.opt.mincostflow import FORBIDDEN_COST
 
+from oracles.simplex_ref import solve_program
+
 
 def brute_force_minmax(cap: np.ndarray) -> float:
     n, r = cap.shape
@@ -104,6 +106,10 @@ class TestSolveMinMax:
         )
         res = solve_minmax_cap(cap)
         optimum = brute_force_minmax(cap)
+        # The reference simplex reaches the same relaxation optimum.
+        assert solve_program(build_minmax_lp(cap)[0]).objective == pytest.approx(
+            res.lp_bound
+        )
         assert res.lp_bound <= optimum + 1e-6  # LP relax is a lower bound
         assert res.ilp_value >= optimum - 1e-6  # rounding can't beat it
         # Greedy rounding should be within a small factor on tiny cases.
@@ -172,8 +178,8 @@ class TestGenericIlp:
     def test_milp_backend_agrees(self):
         rng = np.random.default_rng(4)
         cap = rng.uniform(1, 20, size=(5, 3))
-        a = generic_ilp_assignment(cap, time_limit=30.0, solver="branch_bound")
-        b = generic_ilp_assignment(cap, time_limit=30.0, solver="milp")
+        a = generic_ilp_assignment(cap, time_limit=30.0)
+        b = build_minmax_lp(cap, integer=True)[0].solve(time_limit=30.0)
         assert a.objective == pytest.approx(b.objective, abs=1e-5)
 
     def test_greedy_never_better_than_exact(self):

