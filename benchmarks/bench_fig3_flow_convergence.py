@@ -15,9 +15,8 @@ import time
 import numpy as np
 import pytest
 
-from repro.api import run_flow
 from repro.constants import DEFAULT_TECHNOLOGY
-from repro.core import FlowOptions, tapping_cost_matrix
+from repro.core import FlowOptions, IntegratedFlow, tapping_cost_matrix
 from repro.experiments import fig3_flow_convergence, format_table
 from repro.geometry import BBox, Point
 from repro.netlist import PROFILES, generate_named
@@ -173,11 +172,12 @@ def test_tracing_disabled_overhead_under_two_percent():
         ring_grid_side=PROFILES["s5378"].ring_grid_side, max_iterations=2
     )
 
-    run_flow(circuit, options=options)  # warm caches before timing
-    t_flow = min(
-        _timed(lambda: run_flow(circuit, options=options)) for _ in range(2)
-    )
-    traced = run_flow(circuit, options=options.replace(trace=True))
+    def run(opts: FlowOptions):
+        return IntegratedFlow(circuit, options=opts).run()
+
+    run(options)  # warm caches before timing
+    t_flow = min(_timed(lambda: run(options)) for _ in range(2))
+    traced = run(options.replace(trace=True))
     num_events = traced.trace.num_events
     assert num_events > 0
 

@@ -33,7 +33,7 @@ import sys
 import time
 from pathlib import Path
 
-from repro.api import run_flow
+from repro.api import FlowRequest, run_flow
 from repro.constants import DEFAULT_TECHNOLOGY
 from repro.netlist import ALL_PROFILES, SCALE_PROFILE_ORDER, generate_named
 from repro.placement import PlacerOptions, QuadraticPlacer, region_for_circuit
@@ -60,7 +60,7 @@ def bench_profile(name: str) -> dict:
     gen_s = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    result = run_flow(name)
+    result = run_flow(FlowRequest(circuit=name)).result
     flow_s = time.perf_counter() - t0
     return {
         "cells": profile.num_cells,

@@ -10,9 +10,9 @@ Run:  python examples/iscas_flow.py [circuit]        (default: s9234)
 
 import sys
 
-from repro import run_flow
+from repro import FlowRequest, run_flow
 from repro.constants import DEFAULT_TECHNOLOGY, frequency_ghz
-from repro.netlist import PROFILES, generate_named
+from repro.netlist import PROFILES
 from repro.power import clock_power_mw, signal_power_mw
 
 
@@ -21,10 +21,11 @@ def main() -> None:
     if name not in PROFILES:
         raise SystemExit(f"unknown circuit {name!r}; choose from {sorted(PROFILES)}")
     profile = PROFILES[name]
-    circuit = generate_named(name)
+    request = FlowRequest(circuit=name)
+    circuit = request.resolve()
 
-    # The facade picks the profile's paper ring grid for named benchmarks.
-    result = run_flow(circuit, ring_grid_side=profile.ring_grid_side)
+    # The request picks the profile's paper ring grid for named benchmarks.
+    result = run_flow(request).result
 
     freq = frequency_ghz(result.array.period)
     n_ff = len(circuit.flip_flops)

@@ -2,13 +2,14 @@
 """Quickstart: run the integrated rotary-clocking flow on a small circuit.
 
 Parses the embedded ISCAS89 s27 benchmark (to show netlist I/O), then runs
-the full Fig. 3 methodology on a generated 120-cell circuit through the
-``repro.api`` facade and prints the tapping-cost trajectory.
+the full Fig. 3 methodology on a generated 160-cell circuit through the
+class-based ``IntegratedFlow`` surface (the one that takes a live
+``Circuit`` object) and prints the tapping-cost trajectory.
 
 Run:  python examples/quickstart.py
 """
 
-from repro import run_flow
+from repro import FlowOptions, IntegratedFlow
 from repro.netlist import S27_BENCH, generate_circuit, parse_bench_text, small_profile
 
 
@@ -21,7 +22,7 @@ def main() -> None:
 
     # --- the integrated flow ---------------------------------------------
     circuit = generate_circuit(small_profile(num_cells=160, num_flipflops=24))
-    result = run_flow(circuit, ring_grid_side=2)
+    result = IntegratedFlow(circuit, options=FlowOptions(ring_grid_side=2)).run()
 
     print(f"\ncircuit {result.circuit_name}: "
           f"{len(result.assignment.ff_names)} flip-flops on "

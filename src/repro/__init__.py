@@ -7,16 +7,23 @@ integrated flow — plus every substrate it stands on (netlist model and
 generator, quadratic placer, static timing, LP/flow/ILP kernels,
 zero-skew clock-tree baseline, power models).
 
-Quickstart — the :mod:`repro.api` facade is the supported entry point::
+Quickstart — the :mod:`repro.api` facade is the supported entry point;
+each of its functions takes one typed request::
 
-    from repro import run_flow
+    from repro import FlowOptions, FlowRequest, run_flow
 
-    result = run_flow("s9234")
+    response = run_flow(FlowRequest(circuit="s9234",
+                                    options=FlowOptions(max_iterations=3)))
+    result = response.result
     print(result.final.tapping_wirelength, result.tapping_improvement)
 
 The class-based surface (``IntegratedFlow``, ``FlowOptions``) stays
-available for callers that need custom circuits, collectors, or options
-objects.
+available for callers that hold a live ``Circuit`` object or need custom
+collectors::
+
+    from repro import FlowOptions, IntegratedFlow
+
+    result = IntegratedFlow(circuit, options=FlowOptions(ring_grid_side=2)).run()
 """
 
 from .api import (
@@ -51,7 +58,7 @@ from .core import (
 )
 from .errors import ReproError
 
-__version__ = "1.0.0"
+__version__ = "2.0.0"
 
 __all__ = [
     "Technology",

@@ -21,15 +21,14 @@ Two layers live here:
   cache instead of recomputing.
 
 * **Callable facade** — :func:`run_flow`, :func:`check_design`, and
-  :func:`run_tables` accept the request objects above.  The historical
-  keyword-override forms (``run_flow("s9234", max_iterations=3)``) keep
-  working as thin shims but emit :class:`DeprecationWarning` pointing at
-  the request objects; passing a live :class:`~repro.netlist.Circuit`
-  remains fully supported (objects cannot ride the wire schema, so they
-  are the class-based extension surface, not a legacy path).
+  :func:`run_tables` each take exactly one request object and nothing
+  else, so a named circuit becomes a run along one path whether it is
+  called in-process, by the CLI, by the server, or by the parallel
+  table suite.
 
-``IntegratedFlow`` / ``FlowOptions`` imports keep working and remain the
-extension surface for custom placers or collectors.
+A live :class:`~repro.netlist.Circuit` cannot ride the wire schema;
+``IntegratedFlow`` / ``FlowOptions`` are the class-based surface for
+those, and for custom placers or collectors.
 """
 
 from __future__ import annotations
@@ -38,8 +37,7 @@ import dataclasses
 import enum
 import hashlib
 import json
-import warnings
-from typing import TYPE_CHECKING, Any, Callable, ClassVar, Mapping, overload
+from typing import TYPE_CHECKING, Any, Callable, ClassVar, Mapping
 
 from .constants import DEFAULT_TECHNOLOGY, Technology
 from .core import (
@@ -50,7 +48,7 @@ from .core import (
     IterationRecord,
 )
 from .errors import ReproError
-from .netlist import ALL_PROFILES, Circuit, generate_circuit, generate_named, profile_for
+from .netlist import Circuit, generate_circuit, profile_for
 from .obs import Collector
 
 if TYPE_CHECKING:  # lazy at runtime: analysis pulls in core.cost
@@ -69,9 +67,7 @@ __all__ = [
     "TablesRequest",
     "TablesRun",
     "check_design",
-    "flow_options",
     "request_digest",
-    "resolve_circuit",
     "run_flow",
     "run_tables",
 ]
@@ -191,6 +187,18 @@ def _tech_from_dict(data: Mapping[str, Any], cls: str) -> Technology:
         raise ReproError(f"{cls}.from_dict: bad technology: {exc}") from exc
 
 
+def _with_profile_grid(options: FlowOptions, circuit: str) -> FlowOptions:
+    """``options`` with the circuit profile's ring grid when none is set.
+
+    Digests are computed over the normalized form, so a request that
+    spells out the profile's own ring grid and one that leaves it
+    implicit share a cache entry.
+    """
+    if options.ring_grid_side is not None:
+        return options
+    return options.replace(ring_grid_side=profile_for(circuit).ring_grid_side)
+
+
 # ----------------------------------------------------------------------
 # Requests.
 # ----------------------------------------------------------------------
@@ -223,16 +231,10 @@ class FlowRequest:
         return dataclasses.replace(self, **changes)
 
     def normalized(self) -> "FlowRequest":
-        """The request with profile defaults applied (ring grid side).
-
-        Digests are computed over the normalized form, so a request that
-        spells out the profile's own ring grid and one that leaves it
-        implicit share a cache entry.
-        """
-        if self.options.ring_grid_side is not None:
-            return self
-        side = profile_for(self.circuit).ring_grid_side
-        return self.replace(options=self.options.replace(ring_grid_side=side))
+        """The request with profile defaults applied (ring grid side)."""
+        return self.replace(
+            options=_with_profile_grid(self.options, self.circuit)
+        )
 
     def resolve(self) -> Circuit:
         """Generate the (deterministic) circuit this request names."""
@@ -306,10 +308,9 @@ class CheckRequest:
         return dataclasses.replace(self, **changes)
 
     def normalized(self) -> "CheckRequest":
-        if self.options.ring_grid_side is not None:
-            return self
-        side = profile_for(self.circuit).ring_grid_side
-        return self.replace(options=self.options.replace(ring_grid_side=side))
+        return self.replace(
+            options=_with_profile_grid(self.options, self.circuit)
+        )
 
     def resolve(self) -> Circuit:
         return generate_circuit(profile_for(self.circuit))
@@ -624,72 +625,39 @@ class JobStatus:
 # ----------------------------------------------------------------------
 # Callable facade.
 # ----------------------------------------------------------------------
-def resolve_circuit(circuit: Circuit | str) -> Circuit:
-    """A circuit as-is, or a bundled Table II benchmark generated by name."""
-    if isinstance(circuit, Circuit):
-        return circuit
-    if circuit not in ALL_PROFILES:
+def _require(request: object, cls: type, func: str, hint: str = "") -> None:
+    """Reject anything but a ``cls`` request, naming the expected type."""
+    if not isinstance(request, cls):
         raise ReproError(
-            f"unknown benchmark {circuit!r}; bundled profiles: "
-            f"{', '.join(sorted(ALL_PROFILES))}"
+            f"{func}() takes a {cls.__name__}, got {type(request).__name__}"
+            + hint
         )
-    return generate_named(circuit)
 
 
-def _warn_legacy(old: str, new: str) -> None:
-    warnings.warn(
-        f"{old} is deprecated; build a {new} instead "
-        "(see the 'Versioned requests' section of the README)",
-        DeprecationWarning,
-        stacklevel=3,
-    )
+#: Where a caller holding a live Circuit object goes instead.
+_CIRCUIT_HINT = (
+    "; for a Circuit object use IntegratedFlow(circuit, tech, options).run()"
+)
 
 
-def flow_options(
-    circuit: Circuit | str,
-    *args: FlowOptions | None,
-    options: FlowOptions | None = None,
-    **overrides: Any,
-) -> FlowOptions:
-    """Options for ``circuit``: base ``options`` plus keyword overrides.
-
-    When ``circuit`` names a bundled benchmark and nothing chooses a ring
-    grid, the profile's paper ring count is used (matching the CLI).
-    Unknown keywords are rejected by :class:`FlowOptions` itself.
-
-    .. deprecated::
-        Passing the base options *positionally* is deprecated —
-        :class:`FlowRequest` normalization supersedes this helper; it is
-        kept for the keyword form the CLI and class-based callers use.
-    """
-    if args:
-        if len(args) > 1 or options is not None:
-            raise TypeError(
-                "flow_options() takes at most one options argument"
-            )
-        _warn_legacy(
-            "passing FlowOptions positionally to flow_options()",
-            "FlowRequest (or pass options= by keyword)",
-        )
-        options = args[0]
-    base = options if options is not None else FlowOptions()
-    if (
-        isinstance(circuit, str)
-        and circuit in ALL_PROFILES
-        and base.ring_grid_side is None
-        and "ring_grid_side" not in overrides
-    ):
-        overrides = dict(overrides)
-        overrides["ring_grid_side"] = ALL_PROFILES[circuit].ring_grid_side
-    return base.replace(**overrides) if overrides else base
-
-
-def _execute_flow_request(
+def run_flow(
     request: FlowRequest,
-    collector: Collector | None,
+    *,
+    collector: Collector | None = None,
     on_iteration: Callable[[IterationRecord], None] | None = None,
 ) -> FlowResponse:
-    """Run one normalized request in-process (the server worker path)."""
+    """Run the integrated placement + skew flow (Fig. 3) end to end.
+
+    Returns a :class:`FlowResponse` whose ``result`` is the
+    :class:`~repro.core.flow.FlowResult`::
+
+        response = run_flow(FlowRequest(circuit="s9234",
+                                        options=FlowOptions(max_iterations=3)))
+
+    ``on_iteration`` is invoked with each :class:`IterationRecord` as the
+    flow produces it (progress streaming).
+    """
+    _require(request, FlowRequest, "run_flow", _CIRCUIT_HINT)
     norm = request.normalized()
     result = IntegratedFlow(
         norm.resolve(),
@@ -703,76 +671,14 @@ def _execute_flow_request(
     )
 
 
-@overload
-def run_flow(
-    circuit: FlowRequest,
-    *,
-    collector: Collector | None = ...,
-    on_iteration: Callable[[IterationRecord], None] | None = ...,
-) -> FlowResponse: ...
+def check_design(request: CheckRequest) -> "CheckReport":
+    """Run the static design-rule checker (``RCKnnn`` diagnostics).
 
-
-@overload
-def run_flow(
-    circuit: Circuit | str,
-    *,
-    tech: Technology = ...,
-    options: FlowOptions | None = ...,
-    collector: Collector | None = ...,
-    on_iteration: Callable[[IterationRecord], None] | None = ...,
-    **overrides: Any,
-) -> FlowResult: ...
-
-
-def run_flow(
-    circuit: FlowRequest | Circuit | str,
-    *,
-    tech: Technology = DEFAULT_TECHNOLOGY,
-    options: FlowOptions | None = None,
-    collector: Collector | None = None,
-    on_iteration: Callable[[IterationRecord], None] | None = None,
-    **overrides: Any,
-) -> FlowResponse | FlowResult:
-    """Run the integrated placement + skew flow (Fig. 3) end to end.
-
-    The canonical form takes a :class:`FlowRequest` and returns a
-    :class:`FlowResponse` whose ``result`` is the
-    :class:`~repro.core.flow.FlowResult`::
-
-        response = run_flow(FlowRequest(circuit="s9234",
-                                        options=FlowOptions(max_iterations=3)))
-
-    Passing a :class:`~repro.netlist.Circuit` object (with ``options`` or
-    keyword overrides) remains the supported class-based surface and
-    returns the bare :class:`FlowResult`.  The historical string +
-    keyword-override form still works but emits a
-    :class:`DeprecationWarning` — named circuits round-trip losslessly
-    through :class:`FlowRequest`, which is what servers, caches, and
-    checkpoints key on.  ``on_iteration`` is invoked with each
-    :class:`IterationRecord` as the flow produces it (progress streaming).
+    By default the integrated flow runs first and the full rule registry
+    checks its result; with ``netlist_only`` the flow is skipped and only
+    the netlist-level rules apply.
     """
-    if isinstance(circuit, FlowRequest):
-        if options is not None or overrides or tech is not DEFAULT_TECHNOLOGY:
-            raise ReproError(
-                "run_flow(FlowRequest) takes no tech/options/overrides; "
-                "encode them in the request"
-            )
-        return _execute_flow_request(
-            circuit, collector, on_iteration=on_iteration
-        )
-    if isinstance(circuit, str) and overrides:
-        _warn_legacy("run_flow(<name>, **overrides)", "FlowRequest")
-    opts = flow_options(circuit, options=options, **overrides)
-    return IntegratedFlow(
-        resolve_circuit(circuit),
-        tech,
-        opts,
-        collector=collector,
-        on_iteration=on_iteration,
-    ).run()
-
-
-def _execute_check_request(request: CheckRequest) -> "CheckReport":
+    _require(request, CheckRequest, "check_design", _CIRCUIT_HINT)
     from .analysis import DesignContext, run_checks
     from .analysis.checker import CheckConfig as _CheckConfig
 
@@ -786,71 +692,6 @@ def _execute_check_request(request: CheckRequest) -> "CheckReport":
     else:
         result = IntegratedFlow(resolved, norm.tech, norm.options).run()
         ctx = DesignContext.from_flow(resolved, result, norm.tech)
-    return run_checks(ctx, cfg)
-
-
-@overload
-def check_design(circuit: CheckRequest) -> "CheckReport": ...
-
-
-@overload
-def check_design(
-    circuit: Circuit | str,
-    *,
-    tech: Technology = ...,
-    config: "CheckConfig | None" = ...,
-    options: FlowOptions | None = ...,
-    netlist_only: bool = ...,
-    **overrides: Any,
-) -> "CheckReport": ...
-
-
-def check_design(
-    circuit: CheckRequest | Circuit | str,
-    *,
-    tech: Technology = DEFAULT_TECHNOLOGY,
-    config: "CheckConfig | None" = None,
-    options: FlowOptions | None = None,
-    netlist_only: bool = False,
-    **overrides: Any,
-) -> "CheckReport":
-    """Run the static design-rule checker (``RCKnnn`` diagnostics).
-
-    The canonical form takes a :class:`CheckRequest`.  By default the
-    integrated flow runs first and the full rule registry checks its
-    result; with ``netlist_only`` the flow is skipped and only the
-    netlist-level rules apply.  The historical string + keyword-override
-    form emits a :class:`DeprecationWarning`.
-    """
-    if isinstance(circuit, CheckRequest):
-        if (
-            config is not None
-            or options is not None
-            or overrides
-            or netlist_only
-            or tech is not DEFAULT_TECHNOLOGY
-        ):
-            raise ReproError(
-                "check_design(CheckRequest) takes no extra arguments; "
-                "encode them in the request"
-            )
-        return _execute_check_request(circuit)
-    if isinstance(circuit, str) and overrides:
-        _warn_legacy("check_design(<name>, **overrides)", "CheckRequest")
-
-    from .analysis import DesignContext, run_checks
-    from .analysis.checker import CheckConfig as _CheckConfig
-
-    cfg = config if config is not None else _CheckConfig()
-    resolved = resolve_circuit(circuit)
-    opts = flow_options(circuit, options=options, **overrides)
-    if netlist_only:
-        ctx = DesignContext(
-            name=resolved.name, circuit=resolved, period=opts.period
-        )
-    else:
-        result = IntegratedFlow(resolved, tech, opts).run()
-        ctx = DesignContext.from_flow(resolved, result, tech)
     return run_checks(ctx, cfg)
 
 
@@ -939,9 +780,20 @@ class TablesRun:
         )
 
 
-def _execute_tables_request(
-    request: TablesRequest, collector: Collector | None
+def run_tables(
+    request: TablesRequest, *, collector: Collector | None = None
 ) -> TablesRun:
+    """Regenerate the paper's Tables I-VII.
+
+    With ``parallel >= 1`` the (circuit x engine) matrix is fanned over
+    that many worker processes with per-task ``timeout`` and bounded
+    retries; with ``checkpoint_dir`` each completed circuit is written as
+    an atomic JSON artifact, and ``resume`` serves completed circuits
+    from there instead of re-running them.  Failed circuits degrade to
+    annotated partial rows rather than raising — check
+    :attr:`TablesRun.ok` (the CLI maps it to the exit code).
+    """
+    _require(request, TablesRequest, "run_tables")
     from . import experiments as exp
     from .obs import NULL_COLLECTOR
 
@@ -987,70 +839,3 @@ def _execute_tables_request(
         report=report,
         stale_checkpoints=0 if store is None else store.stale_entries,
     )
-
-
-@overload
-def run_tables(
-    circuits: TablesRequest, *, collector: Collector | None = ...
-) -> TablesRun: ...
-
-
-@overload
-def run_tables(
-    circuits: list[str] | None = ...,
-    *,
-    tech: Technology = ...,
-    options: FlowOptions | None = ...,
-    parallel: int = ...,
-    timeout: float | None = ...,
-    max_retries: int = ...,
-    retry_backoff: float = ...,
-    checkpoint_dir: str | None = ...,
-    resume: bool = ...,
-    ilp_time_limit: float = ...,
-    collector: Collector | None = ...,
-) -> TablesRun: ...
-
-
-def run_tables(
-    circuits: TablesRequest | list[str] | None = None,
-    *,
-    tech: Technology = DEFAULT_TECHNOLOGY,
-    options: FlowOptions | None = None,
-    parallel: int = 0,
-    timeout: float | None = None,
-    max_retries: int = 2,
-    retry_backoff: float = 0.5,
-    checkpoint_dir: str | None = None,
-    resume: bool = False,
-    ilp_time_limit: float = 10.0,
-    collector: Collector | None = None,
-) -> TablesRun:
-    """Regenerate the paper's Tables I-VII.
-
-    The canonical form takes a :class:`TablesRequest`; the historical
-    keyword form still works but emits a :class:`DeprecationWarning`.
-    With ``parallel >= 1`` the (circuit x engine) matrix is fanned over
-    that many worker processes with per-task ``timeout`` and bounded
-    retries; with ``checkpoint_dir`` each completed circuit is written as
-    an atomic JSON artifact, and ``resume`` serves completed circuits
-    from there instead of re-running them.  Failed circuits degrade to
-    annotated partial rows rather than raising — check
-    :attr:`TablesRun.ok` (the CLI maps it to the exit code).
-    """
-    if isinstance(circuits, TablesRequest):
-        return _execute_tables_request(circuits, collector)
-    _warn_legacy("run_tables(circuits, **kwargs)", "TablesRequest")
-    request = TablesRequest(
-        circuits=None if circuits is None else tuple(circuits),
-        tech=tech,
-        options=options if options is not None else FlowOptions(),
-        parallel=parallel,
-        timeout=timeout,
-        max_retries=max_retries,
-        retry_backoff=retry_backoff,
-        checkpoint_dir=checkpoint_dir,
-        resume=resume,
-        ilp_time_limit=ilp_time_limit,
-    )
-    return _execute_tables_request(request, collector)

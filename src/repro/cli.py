@@ -31,7 +31,7 @@ import sys
 from contextlib import contextmanager
 from typing import Any, Callable, Iterator, Mapping
 
-from .api import TablesRequest, flow_options, run_flow
+from .api import CheckRequest, FlowRequest, TablesRequest, check_design, run_flow
 from .constants import DEFAULT_TECHNOLOGY, frequency_ghz
 from .core import FlowOptions, sweep_ring_count
 from .errors import ReproError
@@ -146,10 +146,11 @@ def _flag_values() -> Iterator[None]:
 
 
 def _options_from_args(args: argparse.Namespace) -> FlowOptions:
-    """FlowOptions for a named benchmark from the common CLI flags."""
+    """FlowOptions from the common flow flags: the one place any command
+    builds them.  The ring grid stays unset; request normalization fills
+    in the circuit profile's."""
     with _flag_values():
-        options = flow_options(
-            args.circuit,
+        options = FlowOptions(
             assignment=args.engine,
             max_iterations=args.iterations,
             period=args.period,
@@ -162,8 +163,8 @@ def _options_from_args(args: argparse.Namespace) -> FlowOptions:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    circuit = generate_named(args.circuit)
-    result = run_flow(circuit, options=_options_from_args(args))
+    request = FlowRequest(circuit=args.circuit, options=_options_from_args(args))
+    result = run_flow(request).result
     if args.save:
         from .io import save_design
 
@@ -172,7 +173,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     if args.json:
         print(json.dumps(result.to_dict(), indent=1, sort_keys=True))
         return 0
-    print(f"{args.circuit}: {len(circuit.flip_flops)} flip-flops, "
+    print(f"{args.circuit}: {len(result.assignment.ff_names)} flip-flops, "
           f"{result.array.num_rings} rings at "
           f"{frequency_ghz(args.period):.2f} GHz ({args.engine} engine)")
     print(f"  slack available {result.slack_available:.1f} ps, "
@@ -208,24 +209,22 @@ def cmd_check(args: argparse.Namespace) -> int:
         severity_overrides=parse_severity_overrides(args.severity or ()),
         fail_on=Severity.parse(args.fail_on),
     )
+    options = _options_from_args(args)
     if args.bench:
         from .netlist import read_bench
 
         # Parse without validating: the checker reports broken netlists
         # as RCK1xx diagnostics instead of a parse-time exception.
         circuit = read_bench(args.bench, validate=False)
-        ctx = DesignContext(name=circuit.name, circuit=circuit, period=args.period)
+        ctx = DesignContext(name=circuit.name, circuit=circuit, period=options.period)
+        report = run_checks(ctx, config)
     else:
-        circuit = generate_named(args.circuit)
-        if args.netlist_only:
-            ctx = DesignContext(
-                name=circuit.name, circuit=circuit, period=args.period
-            )
-        else:
-            result = run_flow(circuit, options=_options_from_args(args))
-            ctx = DesignContext.from_flow(circuit, result)
-
-    report = run_checks(ctx, config)
+        report = check_design(CheckRequest(
+            circuit=args.circuit,
+            options=options,
+            netlist_only=args.netlist_only,
+            config=config,
+        ))
     render_report(
         report,
         {"text": render_text, "json": render_json, "sarif": render_sarif},
@@ -349,8 +348,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
 
 def _request_from_args(args: argparse.Namespace) -> Any:
-    from .api import CheckRequest, FlowRequest
-
     if args.kind == "tables":
         circuits = tuple(
             c.strip() for c in args.circuit.split(",") if c.strip()
@@ -359,12 +356,7 @@ def _request_from_args(args: argparse.Namespace) -> Any:
             circuits=circuits or None,
             deadline_seconds=args.deadline or None,
         )
-    with _flag_values():
-        options = FlowOptions(
-            max_iterations=args.iterations,
-            period=args.period,
-            assignment=args.engine,
-        )
+    options = _options_from_args(args)
     if args.kind == "check":
         return CheckRequest(
             circuit=args.circuit,
@@ -457,9 +449,7 @@ def cmd_bench_info(args: argparse.Namespace) -> int:
 def cmd_sweep_rings(args: argparse.Namespace) -> int:
     circuit = generate_named(args.circuit)
     sides = [int(s) for s in args.sides.split(",")]
-    with _flag_values():
-        options = FlowOptions(max_iterations=args.iterations, period=args.period,
-                              assignment=args.engine)
+    options = _options_from_args(args)
     sweep = sweep_ring_count(circuit, DEFAULT_TECHNOLOGY, options, sides)
     print(f"{args.circuit}: ring-count sweep "
           f"(clock WL = tapping stubs + ring loops)")
@@ -480,9 +470,8 @@ def cmd_profile(args: argparse.Namespace) -> int:
     trace_path = args.trace or f"{args.circuit}.trace.json"
     summary_path = args.summary or f"{args.circuit}.summary.json"
     collector = TraceCollector()
-    result = run_flow(
-        args.circuit, options=_options_from_args(args), collector=collector
-    )
+    request = FlowRequest(circuit=args.circuit, options=_options_from_args(args))
+    result = run_flow(request, collector=collector).result
     trace = result.trace
     assert trace is not None  # TraceCollector always records one
     write_chrome_trace(trace, trace_path)
@@ -507,9 +496,9 @@ def cmd_profile(args: argparse.Namespace) -> int:
 def cmd_render(args: argparse.Namespace) -> int:
     from .viz import render_flow_svg
 
-    circuit = generate_named(args.circuit)
-    result = run_flow(circuit, options=_options_from_args(args))
-    svg = render_flow_svg(result, circuit, show_cells=args.cells)
+    request = FlowRequest(circuit=args.circuit, options=_options_from_args(args))
+    result = run_flow(request).result
+    svg = render_flow_svg(result, request.resolve(), show_cells=args.cells)
     with open(args.output, "w") as fh:
         fh.write(svg)
     print(f"wrote {args.output} ({len(svg)} bytes)")

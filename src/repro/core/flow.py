@@ -77,6 +77,38 @@ _OPTION_CHOICES: dict[str, tuple[str, ...]] = {
     "net_weighting": ("none", "critical"),
 }
 
+#: Smallest allowed value of each integer :class:`FlowOptions` field
+#: (``ring_grid_side`` may also be ``None``).
+_OPTION_INT_MINIMUM: dict[str, int] = {
+    "max_iterations": 1,
+    "candidate_rings": 1,
+    "critical_pairs_k": 0,
+    "ring_grid_side": 1,
+}
+
+#: Allowed range ``(low, high, low_inclusive)`` of each real-valued
+#: :class:`FlowOptions` field; values must also be finite.  The weights
+#: may be 0 (the pseudo-net ablation turns the pull off), the headroom
+#: is the ``RingArray.default_capacities`` floor, and the utilization
+#: is the ``region_for_circuit`` range.
+_OPTION_REAL_RANGE: dict[str, tuple[float, float, bool]] = {
+    "period": (0.0, math.inf, False),
+    "pseudo_net_weight": (0.0, math.inf, True),
+    "stability_weight": (0.0, math.inf, True),
+    "critical_weight": (0.0, math.inf, True),
+    "tapping_weight": (0.0, math.inf, True),
+    "convergence_tol": (0.0, math.inf, True),
+    "capacity_headroom": (1.0, math.inf, True),
+    "slack_fraction": (0.0, 1.0, True),
+    "utilization": (0.0, 1.0, False),
+}
+
+
+def _range_text(low: float, high: float, low_inclusive: bool) -> str:
+    if math.isinf(high):
+        return f"a finite number {'>=' if low_inclusive else '>'} {low:g}"
+    return f"a finite number in {'[' if low_inclusive else '('}{low:g}, {high:g}]"
+
 
 @dataclass(frozen=True, slots=True, kw_only=True)
 class FlowOptions:
@@ -167,20 +199,33 @@ class FlowOptions:
                     f"FlowOptions.{name} must be one of "
                     f"{', '.join(map(repr, allowed))}, got {value!r}"
                 )
-        if not (isinstance(self.max_iterations, int) and self.max_iterations >= 1):
-            raise ReproError(
-                "FlowOptions.max_iterations must be an integer >= 1, "
-                f"got {self.max_iterations!r}"
-            )
-        if not (
-            isinstance(self.period, (int, float))
-            and math.isfinite(self.period)
-            and self.period > 0
-        ):
-            raise ReproError(
-                "FlowOptions.period must be a finite number > 0, "
-                f"got {self.period!r}"
-            )
+        for name, minimum in _OPTION_INT_MINIMUM.items():
+            value = getattr(self, name)
+            if value is None and name == "ring_grid_side":
+                continue
+            if isinstance(value, bool) or not (
+                isinstance(value, int) and value >= minimum
+            ):
+                raise ReproError(
+                    f"FlowOptions.{name} must be an integer >= {minimum}, "
+                    f"got {value!r}"
+                )
+        for name, (low, high, low_inclusive) in _OPTION_REAL_RANGE.items():
+            value = getattr(self, name)
+            if isinstance(value, bool) or not (
+                isinstance(value, (int, float))
+                and math.isfinite(value)
+                and (value >= low if low_inclusive else value > low)
+                and value <= high
+            ):
+                raise ReproError(
+                    f"FlowOptions.{name} must be "
+                    f"{_range_text(low, high, low_inclusive)}, got {value!r}"
+                )
+        try:
+            resolve_jobs(self.jobs, env={})
+        except ValueError as exc:
+            raise ReproError(f"FlowOptions.jobs: {exc}") from None
 
     def replace(self, **changes: Any) -> "FlowOptions":
         """A copy with ``changes`` applied (keyword-only, validated)."""

@@ -27,7 +27,6 @@ from .runner import (
     CircuitExperiment,
     ExperimentSuite,
     PowerBreakdown,
-    profile_for,
 )
 from .tables import (
     format_table,
@@ -44,7 +43,6 @@ __all__ = [
     "ExperimentSuite",
     "CircuitExperiment",
     "PowerBreakdown",
-    "profile_for",
     "CHECKPOINT_FORMAT_VERSION",
     "CheckpointStore",
     "experiment_key",

@@ -30,9 +30,9 @@ from ..clocktree import PathLengthStats
 from ..constants import Technology
 from ..core import EXECUTION_ONLY_OPTION_FIELDS, FlowOptions, FlowResult
 from ..errors import ReproError
-from ..netlist import generate_circuit
+from ..netlist import generate_circuit, profile_for
 from ..obs import NULL_COLLECTOR, Collector
-from .runner import CircuitExperiment, PowerBreakdown, profile_for
+from .runner import CircuitExperiment, PowerBreakdown
 
 #: Bumped whenever the serialized layout changes incompatibly.
 CHECKPOINT_FORMAT_VERSION = 1

@@ -22,37 +22,28 @@ fans the (circuit x engine) task matrix out over a
   folded into the parent collector next to the runner's own task
   latency, retry, timeout, and crash metrics.
 
-Workers return ``FlowResult.to_dict()`` documents rather than live
-objects; the parent rebuilds them with ``FlowResult.from_dict``, the
-exact code path a checkpoint load takes.  Every float survives both
-trips bit-identically, so a parallel, a resumed, and a serial suite
-produce the same tables.
-
-For tests and CI smoke runs, the ``REPRO_EXPERIMENTS_FAULT`` environment
-variable injects worker faults: a comma-separated list of
-``circuit:engine:mode[:max_attempt]`` specs where mode is ``crash``
-(hard ``os._exit``, indistinguishable from a kill), ``hang`` (sleep
-until the timeout fires), or ``error`` (raise), and ``*`` matches any
-circuit/engine.  Faults fire only while ``attempt <= max_attempt``
-(default: always), so a ``...:1`` spec exercises the retry path.
+Each task is a :class:`~repro.api.FlowRequest` wire document, executed
+by :func:`repro.server.worker.execute_request_payload` — the function
+the flow service runs — which returns a ``FlowResponse`` document
+rather than a live object; the parent rebuilds the result with
+``FlowResult.from_dict``, the exact code path a checkpoint load takes.
+Every float survives both trips bit-identically, so a parallel, a
+resumed, and a serial suite produce the same tables.  The worker's
+``REPRO_EXPERIMENTS_FAULT`` hook injects crashes, hangs, and errors
+into chosen (circuit, engine) tasks for tests and CI smoke runs.
 """
 
 from __future__ import annotations
 
-import os
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Any, Mapping
 
-from ..constants import Technology
-from ..core import FlowOptions, FlowResult, IntegratedFlow
-from ..netlist import generate_circuit
-from ..obs import NULL_COLLECTOR, Collector, TraceCollector
+from ..api import FlowRequest
+from ..core import FlowResult
+from ..obs import NULL_COLLECTOR, Collector
 from .pool import WaveFailure, WaveTask, backoff_delay, run_wave
-from .runner import ExperimentSuite, profile_for
-
-#: Environment variable holding fault-injection specs (tests/CI only).
-FAULT_ENV = "REPRO_EXPERIMENTS_FAULT"
+from .runner import ExperimentSuite
 
 ENGINES = ("flow", "ilp")
 
@@ -103,70 +94,6 @@ class SuiteRunReport:
         return not self.failed
 
 
-# ----------------------------------------------------------------------
-# Worker side (runs in the pool processes; must stay module-level
-# picklable and import-light).
-# ----------------------------------------------------------------------
-def _maybe_inject_fault(circuit: str, engine: str, attempt: int) -> None:
-    """Honor ``REPRO_EXPERIMENTS_FAULT`` (test/CI hook; no-op otherwise)."""
-    raw = os.environ.get(FAULT_ENV, "")
-    if not raw.strip():
-        return
-    for spec in raw.split(","):
-        parts = [p.strip() for p in spec.strip().split(":")]
-        if len(parts) < 3:
-            continue
-        c, e, mode = parts[0], parts[1], parts[2]
-        limit = int(parts[3]) if len(parts) > 3 else 1 << 30
-        if c not in ("*", circuit) or e not in ("*", engine):
-            continue
-        if attempt > limit:
-            continue
-        if mode == "crash":
-            # A hard exit, skipping interpreter teardown: the parent sees
-            # the same BrokenExecutor a SIGKILLed worker would produce.
-            os._exit(17)
-        elif mode == "hang":
-            time.sleep(3600.0)
-        elif mode == "error":
-            raise RuntimeError(
-                f"injected fault for task {circuit}/{engine} "
-                f"(attempt {attempt})"
-            )
-
-
-def _execute_task(payload: Mapping[str, Any]) -> dict[str, Any]:
-    """Run one (circuit, engine) flow in a worker process.
-
-    Returns a picklable document: the serialized flow result plus the
-    worker's trace counters/gauges and wall-clock, which the parent
-    merges into its collector.
-    """
-    circuit_name = payload["circuit"]
-    engine = payload["engine"]
-    _maybe_inject_fault(circuit_name, engine, int(payload["attempt"]))
-    options = FlowOptions.from_dict(payload["options"])
-    tech = Technology(**payload["tech"])
-    circuit = generate_circuit(profile_for(circuit_name))
-    collector = TraceCollector()
-    start = time.perf_counter()
-    result = IntegratedFlow(circuit, tech, options, collector=collector).run()
-    seconds = time.perf_counter() - start
-    trace = collector.trace()
-    return {
-        "circuit": circuit_name,
-        "engine": engine,
-        "result": result.to_dict(),
-        "seconds": seconds,
-        "counters": dict(trace.counters),
-        "gauges": dict(trace.gauges),
-    }
-
-
-# ----------------------------------------------------------------------
-# Parent side (wave scheduling itself lives in repro.experiments.pool,
-# shared with the repro.server worker pool).
-# ----------------------------------------------------------------------
 class ParallelSuiteRunner:
     """Fans a suite's (circuit x engine) matrix over worker processes."""
 
@@ -184,13 +111,12 @@ class ParallelSuiteRunner:
 
     # ------------------------------------------------------------------
     def _task_for(self, name: str, engine: str) -> WaveTask:
-        payload = {
-            "circuit": name,
-            "engine": engine,
-            "attempt": 1,
-            "options": self.suite.options_for(name, engine).to_dict(),
-            "tech": asdict(self.suite.tech),
-        }
+        request = FlowRequest(
+            circuit=name,
+            options=self.suite.options_for(name, engine),
+            tech=self.suite.tech,
+        )
+        payload = {"kind": "flow", "attempt": 1, "request": request.to_dict()}
         return WaveTask(key=(name, engine), payload=payload)
 
     def run(self) -> SuiteRunReport:
@@ -296,8 +222,11 @@ class ParallelSuiteRunner:
         Delegates to :func:`repro.experiments.pool.run_wave`; worker
         traces are merged into the parent collector as each task lands.
         """
+        # Imported at call time: repro.server imports this package's pool.
+        from ..server.worker import execute_request_payload
+
         return run_wave(
-            _execute_task,
+            execute_request_payload,
             wave,
             workers=self.options.workers,
             timeout=self.options.timeout,
@@ -337,8 +266,8 @@ class ParallelSuiteRunner:
                 )
                 self.suite.failures[name] = reasons
                 continue
-            flow_doc = results[(name, "flow")]
-            ilp_doc = results[(name, "ilp")]
+            flow_doc = results[(name, "flow")]["response"]
+            ilp_doc = results[(name, "ilp")]["response"]
             self.suite.install_results(
                 name,
                 FlowResult.from_dict(flow_doc["result"]),
@@ -377,7 +306,6 @@ def parallel_options_from_flags(
 
 __all__ = [
     "ENGINES",
-    "FAULT_ENV",
     "ParallelOptions",
     "ParallelSuiteRunner",
     "SuiteRunReport",

@@ -64,12 +64,6 @@ FLOW_FAILURE_TYPES: tuple[type[Exception], ...] = (
 )
 
 
-# ``profile_for`` is re-exported above for back-compat: the resolver moved
-# to repro.netlist so the api/server layers can map request circuit names
-# without importing the experiment stack (it now also recognizes the scale
-# profiles).
-
-
 @dataclass(frozen=True, slots=True)
 class PowerBreakdown:
     """Clock/signal/total dynamic power of one design point (mW)."""
@@ -141,18 +135,13 @@ class ExperimentSuite:
         self.failures: dict[str, str] = {}
 
     # ------------------------------------------------------------------
-    def profile_for(self, name: str) -> CircuitProfile:
-        return profile_for(name)
-
     def is_cached(self, name: str) -> bool:
         return name in self._cache
 
     def options_for(self, name: str, engine: str) -> FlowOptions:
         """The per-circuit/engine options the suite runs with."""
-        profile = self.profile_for(name)
-        return _with(
-            self.options,
-            ring_grid_side=profile.ring_grid_side,
+        return self.options.replace(
+            ring_grid_side=profile_for(name).ring_grid_side,
             assignment=engine,
         )
 
@@ -174,7 +163,7 @@ class ExperimentSuite:
         restored = self.load_checkpoint(name)
         if restored is not None:
             return restored
-        circuit = generate_circuit(self.profile_for(name))
+        circuit = generate_circuit(profile_for(name))
         flow_result = IntegratedFlow(
             circuit, self.tech, self.options_for(name, "flow")
         ).run()
@@ -211,7 +200,7 @@ class ExperimentSuite:
         workers.  Both produce identical experiments because every field
         the metrics read round-trips exactly.
         """
-        profile = self.profile_for(name)
+        profile = profile_for(name)
         circuit = generate_circuit(profile)
 
         # Conventional clock-tree baseline over the flip-flop locations
@@ -262,9 +251,3 @@ class ExperimentSuite:
 
     def run_all(self) -> list[CircuitExperiment]:
         return [self.run(name) for name in self.names]
-
-
-def _with(options: FlowOptions, **overrides) -> FlowOptions:
-    from dataclasses import replace
-
-    return replace(options, **overrides)

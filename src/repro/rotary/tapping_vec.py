@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from typing import Mapping
+from typing import TYPE_CHECKING, Mapping
 
 from ..constants import OHM_FF_TO_PS, Technology
 from ..errors import TappingError
@@ -46,6 +46,9 @@ from ..obs import NULL_COLLECTOR, Collector
 from ..parallel import chunk_kernel, fixed_chunks, run_kernel_chunks
 from .ring import RotaryRing
 from .tapping import _MAX_PERIOD_REDUCTIONS, _TOL, TappingSolution
+
+if TYPE_CHECKING:  # only the annotation of batch_solve_rings needs it
+    from .array import RingArray
 
 #: Candidate index of the Case 4 snaking solution in the stacked kernel.
 _SNAKE_CANDIDATE = 4
@@ -444,7 +447,7 @@ def _solve_pairs_chunk(views: Mapping[str, np.ndarray], lo: int, hi: int) -> Non
 
 
 def batch_solve_rings(
-    array: "RingArrayLike",
+    array: "RingArray",
     ring_ids: np.ndarray,
     px: np.ndarray,
     py: np.ndarray,
@@ -544,20 +547,6 @@ def batch_solve_rings(
         point_x=point_x,
         point_y=point_y,
     )
-
-
-class RingArrayLike:
-    """Structural interface of :class:`repro.rotary.array.RingArray`.
-
-    Only what :func:`batch_solve_rings` needs: the stacked per-ring
-    segment arrays.  Declared for documentation/typing; RingArray is the
-    one real implementation.
-    """
-
-    def segment_stacks(
-        self,
-    ) -> tuple[np.ndarray, ...]:  # pragma: no cover - interface stub
-        raise NotImplementedError
 
 
 def batch_best_tapping(

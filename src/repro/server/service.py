@@ -27,7 +27,9 @@ post-hoc iteration events from the result history) and ``"inline"``
 (jobs run on the dispatcher thread itself — no isolation or retries,
 but :class:`~repro.core.flow.IterationRecord` events stream live as the
 flow produces them; also the mode for environments where process pools
-are unavailable).
+are unavailable).  Both modes execute a job through the same
+:func:`~repro.server.worker.execute_request_payload`, under the same
+intra-run worker budget.
 """
 
 from __future__ import annotations
@@ -291,6 +293,7 @@ class FlowService:
             on_result=self._merge_trace,
         )
         for job_id in sorted(ok):
+            self._emit_iteration_events(str(job_id), ok[job_id]["response"])
             self._complete(str(job_id), ok[job_id])
         requeue: list[WaveTask] = []
         for task, kind, message, penalize in failed:
@@ -340,7 +343,6 @@ class FlowService:
         digest = str(doc.get("request_digest", ""))
         if digest:
             self.cache.put(digest, doc)
-        self._emit_iteration_events(job_id, doc)
         self.collector.count("server.jobs-completed")
         self.jobs.finish(job_id, doc)
 
@@ -366,35 +368,15 @@ class FlowService:
 
     def _run_inline(self, task: WaveTask) -> None:
         """Run one job on the dispatcher thread with live event streaming."""
-        from ..api import FlowRequest, run_flow
-        from ..obs import TraceCollector
-
         job_id = str(task.key)
-        job = self.jobs.get(job_id)
+
+        def on_iteration(record: IterationRecord) -> None:
+            self.jobs.add_event(
+                job_id, {"event": "iteration", "record": record.to_dict()}
+            )
+
         try:
-            if isinstance(job.request, FlowRequest):
-                collector = TraceCollector()
-
-                def on_iteration(record: IterationRecord) -> None:
-                    self.jobs.add_event(
-                        job_id,
-                        {"event": "iteration", "record": record.to_dict()},
-                    )
-
-                response = run_flow(
-                    job.request, collector=collector, on_iteration=on_iteration
-                )
-                doc = response.to_dict()
-                trace = collector.trace()
-                self.collector.merge_counters(dict(trace.counters))
-                self.collector.merge_gauges(dict(trace.gauges))
-                self.cache.put(job.digest, doc)
-                self.collector.count("server.jobs-completed")
-                self.jobs.finish(job_id, doc)
-            else:
-                payload = execute_request_payload(task.payload)
-                self._merge_trace(task, payload)
-                self._complete(job_id, payload)
+            payload = execute_request_payload(task.payload, on_iteration)
         except Exception as exc:  # repro: lint-disable=API002 -- fault boundary: an inline job failure of any type must become a FAILED job, not kill the dispatcher thread
             self.collector.count("server.jobs-failed")
             self.jobs.fail(
@@ -405,6 +387,9 @@ class FlowService:
                     attempts=task.attempt,
                 ),
             )
+            return
+        self._merge_trace(task, payload)
+        self._complete(job_id, payload)
 
     # ------------------------------------------------------------------
     # Convenience for tests and the CLI.

@@ -1,22 +1,32 @@
 """Worker-side job execution (module-level picklable).
 
-:func:`execute_request_payload` is the one function the service's
-process pool runs.  It takes the wire payload (job kind + serialized
-request), rebuilds the typed request, executes it in-process, and
-returns a picklable document: the response plus the worker's trace
-counters/gauges, which the parent folds into its collector — the same
-shape :mod:`repro.experiments.parallel` workers return.
+:func:`execute_request_payload` is the one function that executes a
+request: the service's process pool and its inline mode run it, and so
+do the parallel table suite's workers.  It takes the wire payload (job
+kind + serialized request), rebuilds the typed request, executes it
+in-process, and returns a picklable document: the response plus the
+worker's trace counters/gauges, which the parent folds into its
+collector.
 
-Fault injection reuses ``REPRO_EXPERIMENTS_FAULT`` with the job kind in
-the engine slot, so ``s27:flow:crash:1`` crashes the first attempt of a
-flow job on ``s27`` exactly as it would a parallel-suite task.
+For tests and CI smoke runs, the ``REPRO_EXPERIMENTS_FAULT`` environment
+variable injects worker faults: a comma-separated list of
+``circuit:engine:mode[:max_attempt]`` specs where mode is ``crash``
+(hard ``os._exit``, indistinguishable from a kill), ``hang`` (sleep
+until the timeout fires), or ``error`` (raise), and ``*`` matches any
+circuit/engine.  The engine slot is the assignment engine (``flow`` or
+``ilp``) of a flow job and the job kind (``check`` or ``tables``) of any
+other job, so ``tinyB:ilp:crash`` kills every §VI task of a parallel
+table suite and ``s27:flow:crash:1`` crashes the first attempt of a
+server flow job.  Faults fire only while ``attempt <= max_attempt``
+(default: always), so a ``...:1`` spec exercises the retry path.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import time
-from typing import Any, Mapping, TypeVar
+from typing import Any, Callable, Mapping
 
 from ..api import (
     API_VERSION,
@@ -27,11 +37,47 @@ from ..api import (
     run_flow,
     run_tables,
 )
+from ..core import IterationRecord
 from ..errors import ServerError
 from ..obs import TraceCollector
-from ..experiments.parallel import _maybe_inject_fault
+from .jobs import Request
 
-_R = TypeVar("_R", FlowRequest, CheckRequest, TablesRequest)
+#: Environment variable holding fault-injection specs (tests/CI only).
+FAULT_ENV = "REPRO_EXPERIMENTS_FAULT"
+
+_REQUEST_TYPES: dict[str, type[Request]] = {
+    "flow": FlowRequest,
+    "check": CheckRequest,
+    "tables": TablesRequest,
+}
+
+
+def _maybe_inject_fault(circuit: str, engine: str, attempt: int) -> None:
+    """Honor ``REPRO_EXPERIMENTS_FAULT`` (test/CI hook; no-op otherwise)."""
+    raw = os.environ.get(FAULT_ENV, "")
+    if not raw.strip():
+        return
+    for spec in raw.split(","):
+        parts = [p.strip() for p in spec.strip().split(":")]
+        if len(parts) < 3:
+            continue
+        c, e, mode = parts[0], parts[1], parts[2]
+        limit = int(parts[3]) if len(parts) > 3 else 1 << 30
+        if c not in ("*", circuit) or e not in ("*", engine):
+            continue
+        if attempt > limit:
+            continue
+        if mode == "crash":
+            # A hard exit, skipping interpreter teardown: the parent sees
+            # the same BrokenExecutor a SIGKILLed worker would produce.
+            os._exit(17)
+        elif mode == "hang":
+            time.sleep(3600.0)
+        elif mode == "error":
+            raise RuntimeError(
+                f"injected fault for task {circuit}/{engine} "
+                f"(attempt {attempt})"
+            )
 
 
 def check_response_doc(request: CheckRequest) -> dict[str, Any]:
@@ -51,7 +97,7 @@ def check_response_doc(request: CheckRequest) -> dict[str, Any]:
     }
 
 
-def _apply_intra_budget(request: _R, intra_jobs: int | None) -> _R:
+def _apply_intra_budget(request: Request, intra_jobs: int | None) -> Request:
     """Rewrite ``options.jobs`` to the service's per-job worker budget.
 
     ``jobs`` is execution-only (``EXECUTION_ONLY_OPTION_FIELDS``), so
@@ -65,42 +111,49 @@ def _apply_intra_budget(request: _R, intra_jobs: int | None) -> _R:
     )
 
 
-def execute_request_payload(payload: Mapping[str, Any]) -> dict[str, Any]:
-    """Execute one job payload; returns the response + trace document."""
+def execute_request_payload(
+    payload: Mapping[str, Any],
+    on_iteration: Callable[[IterationRecord], None] | None = None,
+) -> dict[str, Any]:
+    """Execute one job payload; returns the response + trace document.
+
+    ``payload`` holds ``kind``, the serialized ``request``, the
+    ``attempt`` number, and optionally the service's ``intra_jobs``
+    budget.  ``on_iteration`` streams a flow job's iteration records as
+    they are produced (inline execution only; it cannot cross a process
+    boundary).
+    """
     kind = str(payload["kind"])
-    attempt = int(payload.get("attempt", 1))
-    request_doc = payload["request"]
-    intra_jobs = payload.get("intra_jobs")
-    circuit = str(request_doc.get("circuit", "")) or "-"
-    _maybe_inject_fault(circuit, kind, attempt)
+    request_type = _REQUEST_TYPES.get(kind)
+    if request_type is None:
+        raise ServerError(f"unknown job kind {kind!r}")
+    request = _apply_intra_budget(
+        request_type.from_dict(payload["request"]), payload.get("intra_jobs")
+    )
+    _maybe_inject_fault(
+        getattr(request, "circuit", "") or "-",
+        request.options.assignment if isinstance(request, FlowRequest) else kind,
+        int(payload.get("attempt", 1)),
+    )
     collector = TraceCollector()
     start = time.perf_counter()
     doc: dict[str, Any]
-    if kind == "flow":
-        flow_request = _apply_intra_budget(
-            FlowRequest.from_dict(request_doc), intra_jobs
-        )
-        doc = run_flow(flow_request, collector=collector).to_dict()
-    elif kind == "check":
-        doc = check_response_doc(
-            _apply_intra_budget(CheckRequest.from_dict(request_doc), intra_jobs)
-        )
-    elif kind == "tables":
-        tables_request = _apply_intra_budget(
-            TablesRequest.from_dict(request_doc), intra_jobs
-        )
+    if isinstance(request, FlowRequest):
+        doc = run_flow(
+            request, collector=collector, on_iteration=on_iteration
+        ).to_dict()
+    elif isinstance(request, CheckRequest):
+        doc = check_response_doc(request)
+    else:
         # Never nest process pools: the job already runs in a worker, so
         # the suite executes serially regardless of the request's
         # parallel knob (the tables themselves are byte-identical).  The
         # intra-run budget still applies inside each serial experiment.
-        run = run_tables(
-            tables_request.replace(parallel=0), collector=collector
-        )
-        doc = run.to_dict()
-        doc["request_digest"] = tables_request.digest()
+        doc = run_tables(
+            request.replace(parallel=0), collector=collector
+        ).to_dict()
+        doc["request_digest"] = request.digest()
         doc["cached"] = False
-    else:
-        raise ServerError(f"unknown job kind {kind!r}")
     seconds = time.perf_counter() - start
     trace = collector.trace()
     return {
@@ -112,4 +165,4 @@ def execute_request_payload(payload: Mapping[str, Any]) -> dict[str, Any]:
     }
 
 
-__all__ = ["check_response_doc", "execute_request_payload"]
+__all__ = ["FAULT_ENV", "check_response_doc", "execute_request_payload"]

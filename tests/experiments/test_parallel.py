@@ -27,7 +27,7 @@ from repro.experiments import (
     table6_power,
     table7_wcp,
 )
-from repro.experiments.parallel import FAULT_ENV, _maybe_inject_fault
+from repro.server.worker import FAULT_ENV, _maybe_inject_fault
 
 OPTS = FlowOptions(max_iterations=2)
 CIRCUITS = ["tinyA", "tinyB"]

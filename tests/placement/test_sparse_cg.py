@@ -17,7 +17,7 @@ from repro.constants import DEFAULT_TECHNOLOGY
 from repro.netlist import PROFILE_ORDER, generate_named
 from repro.placement import PlacerOptions, QuadraticPlacer, region_for_circuit
 import repro.placement.quadratic as quadratic_mod
-from repro.api import run_flow
+from repro.api import FlowRequest, run_flow
 from repro.errors import PlacementError
 
 TECH = DEFAULT_TECHNOLOGY
@@ -103,9 +103,10 @@ class TestFlowDecisionsUnchanged:
     def test_pcg_flow_reproduces_default_decisions(self, monkeypatch):
         """The §V flow's discrete decisions — ring assignment, iteration
         count, schedule — are invariant to the cg->pcg solver swap."""
-        default = run_flow("s5378")
+        request = FlowRequest(circuit="s5378")
+        default = run_flow(request).result
         monkeypatch.setattr(quadratic_mod, "_PCG_AUTO_THRESHOLD", 0)
-        pcg = run_flow("s5378")
+        pcg = run_flow(request).result
         assert pcg.assignment.ring_of == default.assignment.ring_of
         assert len(pcg.history) == len(default.history)
         assert set(pcg.schedule.targets) == set(default.schedule.targets)

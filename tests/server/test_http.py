@@ -139,6 +139,14 @@ class TestEndpoints:
         doc["options"]["assignment"] = "Flow"
         assert self._post_flow(server, doc) == 400
 
+    @pytest.mark.parametrize(
+        ("field", "value"), [("ring_grid_side", 0), ("candidate_rings", -1)]
+    )
+    def test_out_of_range_options_are_400(self, server, field, value):
+        doc = REQUEST.to_dict()
+        doc["options"][field] = value
+        assert self._post_flow(server, doc) == 400
+
     def test_result_before_terminal_is_409(self, server, client):
         # Submit directly to the store, bypassing the dispatcher, so the
         # job is observably non-terminal.

@@ -3,13 +3,12 @@
 Every document type must round-trip ``from_dict(to_dict(x)) == x``
 bit-identically (floats included — the cache and checkpoint digests
 depend on it), reject unknown keys, and reject the wrong
-``api_version``/``kind``.  The legacy keyword forms must warn.
+``api_version``/``kind``.
 """
 
 from __future__ import annotations
 
 import json
-import warnings
 
 import pytest
 from hypothesis import given, settings
@@ -24,9 +23,6 @@ from repro.api import (
     JobStatus,
     TablesRequest,
     canonical_digest,
-    flow_options,
-    run_flow,
-    run_tables,
 )
 from repro.core import FlowOptions
 from repro.errors import ReproError
@@ -179,63 +175,3 @@ class TestSchemaRejections:
         doc["api_version"] = "v99"
         with pytest.raises(ReproError, match=API_VERSION):
             JobStatus.from_dict(doc)
-
-
-class TestDeprecations:
-    def test_positional_flow_options_warns(self):
-        with pytest.warns(DeprecationWarning, match="FlowRequest"):
-            flow_options("s27", FlowOptions())
-
-    def test_keyword_flow_options_is_silent(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            flow_options("s27", options=FlowOptions(), max_iterations=1)
-
-    def test_legacy_run_flow_overrides_warn(self, monkeypatch):
-        class FakeFlow:
-            def __init__(self, *args, **kwargs):
-                pass
-
-            def run(self):
-                return "sentinel"
-
-        monkeypatch.setattr("repro.api.resolve_circuit", lambda c: c)
-        monkeypatch.setattr("repro.api.IntegratedFlow", FakeFlow)
-        with pytest.warns(DeprecationWarning, match="FlowRequest"):
-            out = run_flow("s5378", max_iterations=1, ring_grid_side=2)
-        assert out == "sentinel"
-
-    def test_typed_run_flow_is_silent(self):
-        request = FlowRequest(
-            circuit="s27",
-            options=FlowOptions(max_iterations=1, ring_grid_side=2),
-        )
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            response = run_flow(request)
-        assert response.request_digest == request.digest()
-
-    def test_legacy_run_tables_warns(self, monkeypatch):
-        captured = {}
-
-        def fake_execute(request, collector):
-            captured["request"] = request
-            return "sentinel"
-
-        monkeypatch.setattr(
-            "repro.api._execute_tables_request", fake_execute
-        )
-        with pytest.warns(DeprecationWarning, match="TablesRequest"):
-            out = run_tables(["tinyA"], ilp_time_limit=0.5)
-        assert out == "sentinel"
-        assert captured["request"] == TablesRequest(
-            circuits=("tinyA",), ilp_time_limit=0.5
-        )
-
-    def test_typed_run_tables_is_silent(self, monkeypatch):
-        monkeypatch.setattr(
-            "repro.api._execute_tables_request", lambda r, c: "sentinel"
-        )
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert run_tables(TablesRequest(circuits=("tinyA",))) == "sentinel"

@@ -19,7 +19,7 @@ import pytest
 from repro.api import CheckRequest, FlowRequest, FlowResponse, JobState, run_flow
 from repro.core import FlowOptions
 from repro.errors import SaturatedError, ServerError
-from repro.experiments.parallel import FAULT_ENV
+from repro.server.worker import FAULT_ENV
 from repro.obs import TraceCollector
 from repro.server import FlowService, ServerOptions
 
@@ -100,6 +100,29 @@ class TestInlineExecution:
         status = service.jobs.status(second.job_id)
         assert status.cached
         assert status.run_seconds == pytest.approx(0.0, abs=0.05)
+
+    def test_flow_job_runs_under_the_worker_budget(self, monkeypatch):
+        """Inline flow jobs get the service's intra-run budget, as check
+        jobs and process-mode jobs do, and stream each iteration once."""
+        import repro.api
+
+        seen_jobs = []
+
+        class RecordingFlow(repro.api.IntegratedFlow):
+            def run(self):
+                seen_jobs.append(self.options.jobs)
+                return super().run()
+
+        monkeypatch.setattr(repro.api, "IntegratedFlow", RecordingFlow)
+        options = ServerOptions(workers=1, execution="inline", intra_jobs=2)
+        with FlowService(options) as service:
+            job = service.wait(service.submit(REQUEST).job_id)
+            events = service.jobs.wait_events(job.job_id, 0, timeout=0.0)[0]
+        assert job.state is JobState.DONE
+        assert seen_jobs == [2]
+        assert service.stats()["intra_jobs"] == 2
+        iterations = [e for e in events if e.get("event") == "iteration"]
+        assert len(iterations) == len(job.result_doc["result"]["history"])
 
 
 class TestProcessExecution:

@@ -5,69 +5,74 @@ import math
 import pytest
 
 import repro
-from repro import FlowOptions, ReproError, check_design, run_flow
+from repro import (
+    CheckRequest,
+    FlowOptions,
+    FlowRequest,
+    ReproError,
+    check_design,
+    run_flow,
+    run_tables,
+)
 from repro.analysis import CheckConfig, CheckReport, Severity
-from repro.api import flow_options, resolve_circuit
 from repro.errors import CheckError
 from repro.netlist import PROFILES, S27_BENCH, parse_bench_text
 from repro.obs import TraceCollector
 
-
-@pytest.fixture(scope="module")
-def s27():
-    return parse_bench_text(S27_BENCH, "s27")
+#: One-iteration options on a 2x2 ring grid: the fastest full flow.
+FAST = FlowOptions(ring_grid_side=2, max_iterations=1)
 
 
-class TestResolveCircuit:
-    def test_circuit_passthrough(self, s27):
-        assert resolve_circuit(s27) is s27
+class TestRequestNormalization:
+    """Requests fill in the named profile's ring grid; an explicit one wins."""
 
-    def test_named_benchmark(self):
-        circuit = resolve_circuit("s5378")
-        assert circuit.name == "s5378"
+    @pytest.mark.parametrize("request_type", [FlowRequest, CheckRequest])
+    def test_profile_ring_grid_injected(self, request_type):
+        norm = request_type(circuit="s5378").normalized()
+        assert norm.options.ring_grid_side == PROFILES["s5378"].ring_grid_side
 
-    def test_unknown_name(self):
-        with pytest.raises(ReproError, match="unknown benchmark 'nope'"):
-            resolve_circuit("nope")
+    @pytest.mark.parametrize("request_type", [FlowRequest, CheckRequest])
+    def test_explicit_ring_grid_wins(self, request_type):
+        request = request_type(
+            circuit="s5378", options=FlowOptions(ring_grid_side=2)
+        )
+        assert request.normalized().options.ring_grid_side == 2
 
 
-class TestFlowOptionsBuilder:
-    def test_profile_ring_grid_injected(self):
-        opts = flow_options("s5378")
-        assert opts.ring_grid_side == PROFILES["s5378"].ring_grid_side
-
-    def test_explicit_override_wins(self):
-        assert flow_options("s5378", ring_grid_side=2).ring_grid_side == 2
-
-    def test_base_options_respected(self):
-        base = FlowOptions(ring_grid_side=3)
-        assert flow_options("s5378", base).ring_grid_side == 3
-
-    def test_circuit_object_keeps_default(self, s27):
-        assert flow_options(s27).ring_grid_side is None
-
-    def test_unknown_override_rejected(self):
-        with pytest.raises(TypeError):
-            flow_options("s5378", not_an_option=1)
+class TestFacadeTakesOnlyRequests:
+    def test_non_request_rejected(self):
+        """Each facade function names the request type it takes; a live
+        Circuit is pointed at the class-based IntegratedFlow surface."""
+        s27 = parse_bench_text(S27_BENCH, "s27")
+        with pytest.raises(ReproError, match="FlowRequest.*IntegratedFlow"):
+            run_flow(s27)
+        with pytest.raises(ReproError, match="takes a FlowRequest, got str"):
+            run_flow("s27")
+        with pytest.raises(ReproError, match="CheckRequest.*IntegratedFlow"):
+            check_design(s27)
+        with pytest.raises(ReproError, match="takes a CheckRequest"):
+            check_design(FlowRequest(circuit="s27"))
+        with pytest.raises(ReproError, match="takes a TablesRequest, got list"):
+            run_tables(["s27"])
 
 
 class TestRunFlow:
-    def test_run_flow_on_circuit(self, s27):
-        result = run_flow(s27, ring_grid_side=2, max_iterations=1)
+    def test_run_flow_on_circuit(self):
+        result = run_flow(FlowRequest(circuit="s27", options=FAST)).result
         assert result.circuit_name == "s27"
         assert result.trace is None
         assert len(result.history) == 1
 
-    def test_run_flow_traced(self, s27):
-        result = run_flow(s27, ring_grid_side=2, max_iterations=1, trace=True)
+    def test_run_flow_traced(self):
+        options = FAST.replace(trace=True)
+        result = run_flow(FlowRequest(circuit="s27", options=options)).result
         assert result.trace is not None
         assert result.trace.counter("flow.iterations") == 1
 
-    def test_run_flow_explicit_collector(self, s27):
+    def test_run_flow_explicit_collector(self):
         obs = TraceCollector()
-        result = run_flow(
-            s27, ring_grid_side=2, max_iterations=1, collector=obs
-        )
+        request = FlowRequest(circuit="s27", options=FAST)
+        result = run_flow(request, collector=obs).result
         assert result.trace is not None
         assert result.trace.by_name("stage1.initial-placement")
 
@@ -78,21 +83,25 @@ class TestRunFlow:
 
 
 class TestCheckDesign:
-    def test_netlist_only(self, s27):
-        report = check_design(s27, netlist_only=True)
+    def test_netlist_only(self):
+        report = check_design(CheckRequest(circuit="s27", netlist_only=True))
         assert isinstance(report, CheckReport)
         assert report.design == "s27"
         assert report.rules_run  # netlist rules apply without a flow
 
-    def test_full_flow_check(self, s27):
-        report = check_design(s27, ring_grid_side=2, max_iterations=1)
+    def test_full_flow_check(self):
+        report = check_design(CheckRequest(circuit="s27", options=FAST))
         # Flow-level rules now apply too, so strictly more rules run.
-        netlist_only = check_design(s27, netlist_only=True)
+        netlist_only = check_design(
+            CheckRequest(circuit="s27", netlist_only=True)
+        )
         assert set(netlist_only.rules_run) < set(report.rules_run)
 
-    def test_config_respected(self, s27):
+    def test_config_respected(self):
         config = CheckConfig(enabled=("RCK101",))
-        report = check_design(s27, netlist_only=True, config=config)
+        report = check_design(
+            CheckRequest(circuit="s27", netlist_only=True, config=config)
+        )
         assert set(report.rules_run) <= {"RCK101"}
 
 
@@ -129,6 +138,22 @@ class TestFlowOptionsRoundTrip:
             ("period", -1000.0),
             ("period", math.nan),
             ("period", math.inf),
+            ("ring_grid_side", 0),
+            ("ring_grid_side", -2),
+            ("candidate_rings", -1),
+            ("critical_pairs_k", -1),
+            ("pseudo_net_weight", -1.0),
+            ("stability_weight", math.nan),
+            ("critical_weight", -0.5),
+            ("tapping_weight", math.nan),
+            ("convergence_tol", math.nan),
+            ("capacity_headroom", 0.0),
+            ("capacity_headroom", math.nan),
+            ("slack_fraction", math.nan),
+            ("slack_fraction", 1.5),
+            ("utilization", 0.0),
+            ("utilization", 1.75),
+            ("jobs", 0),
         ],
     )
     def test_invalid_value_rejected(self, field, value):

@@ -72,6 +72,67 @@ class TestFlowErrors:
         err = capsys.readouterr().err
         assert err == "repro run: LP cost_driven_skew_weighted is infeasible\n"
 
+    def test_check_netlist_only_rejects_bad_period(self, capsys):
+        assert main(["check", "s5378", "--netlist-only", "--period", "0"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro check: FlowOptions.period")
+        assert "Traceback" not in err
+
+    def test_check_bench_rejects_bad_period(self, tmp_path, capsys):
+        from repro.netlist import S27_BENCH
+
+        path = tmp_path / "s27.bench"
+        path.write_text(S27_BENCH)
+        assert main(["check", "--bench", str(path), "--period", "0"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro check: FlowOptions.period")
+        assert "Traceback" not in err
+
+
+#: The flags every flow command must carry into its FlowOptions, and the
+#: values they must arrive as.
+WEIGHTING_FLAGS = [
+    "--net-weighting", "critical", "--critical-k", "3",
+    "--critical-weight", "5", "--jobs", "2",
+]
+WEIGHTING_OPTIONS = {
+    "net_weighting": "critical",
+    "critical_pairs_k": 3,
+    "critical_weight": 5.0,
+    "jobs": 2,
+}
+
+
+class TestOptionsFromFlags:
+    """Every flow command builds its options from all the common flags."""
+
+    @pytest.mark.parametrize("kind", ["flow", "check"])
+    def test_submit_request_carries_every_flag(self, kind):
+        from repro.cli import _request_from_args
+
+        args = build_parser().parse_args(
+            ["submit", "s9234", "--kind", kind, *WEIGHTING_FLAGS]
+        )
+        options = _request_from_args(args).options
+        for field, value in WEIGHTING_OPTIONS.items():
+            assert getattr(options, field) == value, field
+
+    def test_sweep_rings_receives_every_flag(self, monkeypatch):
+        from repro import cli
+
+        seen = {}
+
+        def fake_sweep(circuit, tech, options, sides):
+            seen["options"], seen["sides"] = options, sides
+            raise cli.ReproError("stop after capturing the options")
+
+        monkeypatch.setattr(cli, "sweep_ring_count", fake_sweep)
+        rc = main(["sweep-rings", "s5378", "--sides", "2", *WEIGHTING_FLAGS])
+        assert rc == 1
+        assert seen["sides"] == [2]
+        for field, value in WEIGHTING_OPTIONS.items():
+            assert getattr(seen["options"], field) == value, field
+
 
 CLEAN_BENCH = "INPUT(a)\nOUTPUT(y)\ny = NOT(a)\n"
 BROKEN_BENCH = "INPUT(a)\nOUTPUT(y)\ny = NAND(a, ghost)\n"
@@ -204,7 +265,7 @@ class TestTablesCommand:
     def test_injected_failure_exits_one_with_partial_tables(
         self, monkeypatch, capsys
     ):
-        from repro.experiments.parallel import FAULT_ENV
+        from repro.server.worker import FAULT_ENV
 
         monkeypatch.setenv(FAULT_ENV, "tinyB:*:error")
         rc = main(

@@ -43,6 +43,10 @@ LITERAL_ALTERNATIVES: dict[str, Any] = {
     "jobs": "auto",
 }
 
+#: Fractions FlowOptions bounds to [0, 1]: halved, since adding 1.25
+#: would leave the range.
+FRACTION_FIELDS = frozenset({"slack_fraction", "utilization"})
+
 OPTION_FIELDS = [f.name for f in dataclasses.fields(FlowOptions)]
 RESULT_AFFECTING_FIELDS = [
     name for name in OPTION_FIELDS if name not in EXECUTION_ONLY_OPTION_FIELDS
@@ -61,6 +65,8 @@ def perturbed_value(name: str, baseline: FlowOptions) -> Any:
         return not current
     if isinstance(current, int):
         return current + 3
+    if name in FRACTION_FIELDS:
+        return current / 2
     if isinstance(current, float):
         return current + 1.25
     if current is None:  # ring_grid_side — dodge the profile default too
