@@ -1,9 +1,10 @@
-"""Parallel experiment runner: wall-clock vs the serial suite.
+"""Parallel table suite: wall-clock vs the serial suite.
 
-Times a full (circuit x engine) suite run both serially and through the
-:class:`~repro.experiments.ParallelSuiteRunner`, records the speedup as
-an artifact, and — on multi-core machines only — asserts the parallel
-run is not slower than serial (the runner's value on a single core is
+Times a full (circuit x engine) suite run both serially and through
+:func:`~repro.experiments.run_parallel_suite` (the suite as jobs on an
+in-process flow service), records the speedup as an artifact, and — on
+multi-core machines only — asserts the parallel run is not slower than
+serial (the parallel suite's value on a single core is
 fault isolation, not speed, so the assertion is gated on the core
 count).  Uses fresh suites per measurement so nothing is served from a
 cache, and small circuits so the whole benchmark stays seconds-scale.
@@ -15,11 +16,8 @@ import time
 import pytest
 
 from repro.core import FlowOptions
-from repro.experiments import (
-    ExperimentSuite,
-    ParallelOptions,
-    run_parallel_suite,
-)
+from repro.experiments import ExperimentSuite, run_parallel_suite
+from repro.server import ServerOptions
 
 from conftest import record_artifact
 
@@ -37,7 +35,7 @@ def _serial_seconds() -> float:
 
 def _parallel_seconds() -> float:
     suite = ExperimentSuite(circuits=CIRCUITS, options=OPTS)
-    report = run_parallel_suite(suite, ParallelOptions(workers=WORKERS))
+    report = run_parallel_suite(suite, ServerOptions(workers=WORKERS))
     assert report.ok, report
     return report.seconds
 

@@ -37,6 +37,7 @@ import dataclasses
 import enum
 import hashlib
 import json
+import math
 from typing import TYPE_CHECKING, Any, Callable, ClassVar, Mapping
 
 from .constants import DEFAULT_TECHNOLOGY, Technology
@@ -185,6 +186,37 @@ def _tech_from_dict(data: Mapping[str, Any], cls: str) -> Technology:
         return Technology(**data)
     except TypeError as exc:
         raise ReproError(f"{cls}.from_dict: bad technology: {exc}") from exc
+
+
+def _is_count(value: object, minimum: int) -> bool:
+    """``value`` is an integer (not a bool) of at least ``minimum``."""
+    return (
+        isinstance(value, int)
+        and not isinstance(value, bool)
+        and value >= minimum
+    )
+
+
+def _is_seconds(value: object, *, positive: bool = False) -> bool:
+    """``value`` is a finite real ``>= 0`` (``> 0`` when ``positive``)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    return math.isfinite(value) and (value > 0 if positive else value >= 0)
+
+
+def _check_fields(
+    owner: object,
+    checks: tuple[tuple[str, bool, str], ...],
+    error: type[ReproError] = ReproError,
+) -> None:
+    """Raise ``error`` naming the first ``(field, ok, expected)`` check
+    that failed, with the field's value."""
+    for name, ok, expected in checks:
+        if not ok:
+            raise error(
+                f"{type(owner).__name__}.{name} must be {expected}, "
+                f"got {getattr(owner, name)!r}"
+            )
 
 
 def _with_profile_grid(options: FlowOptions, circuit: str) -> FlowOptions:
@@ -392,6 +424,30 @@ class TablesRequest:
         }
     )
 
+    def __post_init__(self) -> None:
+        """Reject execution settings no scheduler honours."""
+        _check_fields(
+            self,
+            (
+                ("parallel", _is_count(self.parallel, 0), "an integer >= 0"),
+                (
+                    "timeout",
+                    self.timeout is None or _is_seconds(self.timeout),
+                    "None or a finite number >= 0 (0 = no deadline)",
+                ),
+                (
+                    "max_retries",
+                    _is_count(self.max_retries, 0),
+                    "an integer >= 0",
+                ),
+                (
+                    "retry_backoff",
+                    _is_seconds(self.retry_backoff),
+                    "a finite number >= 0",
+                ),
+            ),
+        )
+
     def replace(self, **changes: Any) -> "TablesRequest":
         return dataclasses.replace(self, **changes)
 
@@ -513,9 +569,10 @@ class JobState(str, enum.Enum):
 class JobError:
     """Why a job failed: the task-failure kind plus attempts taken.
 
-    ``kind`` mirrors :class:`repro.experiments.parallel.TaskFailure`:
-    ``"crash"`` (worker process died), ``"timeout"`` (deadline exceeded),
-    or ``"error"`` (the flow raised).
+    ``kind`` is ``"crash"`` (worker process died), ``"timeout"``
+    (deadline exceeded), or ``"error"`` (the flow raised); the parallel
+    table suite turns a failed job's error into its
+    :class:`repro.experiments.parallel.TaskFailure`.
     """
 
     kind: str
@@ -702,7 +759,7 @@ class TablesRun:
     ``tables`` maps ``"table1"``...``"table7"`` to lists of row dicts (a
     failed circuit contributes an annotated ``{circuit, error}`` partial
     row instead of raising); ``failures`` maps circuit name to the
-    recorded failure reason; ``report`` carries the parallel runner's
+    recorded failure reason; ``report`` carries the parallel suite's
     retry/timeout/crash statistics (None for serial runs);
     ``stale_checkpoints`` counts checkpoint artifacts that existed for a
     requested circuit but no longer matched the configuration digest
@@ -785,8 +842,9 @@ def run_tables(
 ) -> TablesRun:
     """Regenerate the paper's Tables I-VII.
 
-    With ``parallel >= 1`` the (circuit x engine) matrix is fanned over
-    that many worker processes with per-task ``timeout`` and bounded
+    With ``parallel >= 1`` the (circuit x engine) matrix runs as flow
+    jobs on an in-process :class:`~repro.server.FlowService` with that
+    many worker processes, per-task ``timeout`` (0 = none) and bounded
     retries; with ``checkpoint_dir`` each completed circuit is written as
     an atomic JSON artifact, and ``resume`` serves completed circuits
     from there instead of re-running them.  Failed circuits degrade to
@@ -814,13 +872,16 @@ def run_tables(
     )
     report = None
     if request.parallel >= 1:
+        from .server import ServerOptions
+
         report = exp.run_parallel_suite(
             suite,
-            exp.parallel_options_from_flags(
-                request.parallel,
-                timeout=request.timeout,
+            ServerOptions(
+                workers=request.parallel,
+                task_timeout_seconds=request.timeout or None,
                 max_retries=request.max_retries,
-                backoff=request.retry_backoff,
+                retry_backoff_seconds=request.retry_backoff,
+                intra_jobs=request.options.jobs,
             ),
             collector=coll,
         )

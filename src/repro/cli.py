@@ -18,7 +18,7 @@ Every command shares one exit-code contract (:class:`ExitCode`):
 0 = success / no findings at or above ``--fail-on``,
 1 = findings at or above the threshold, partial tables, a failed run,
 or a failed or shed server job, 2 = usage or configuration error
-(unknown rule code, bad severity, a flag value the flow options reject,
+(unknown rule code, bad severity, a flag value the options reject,
 unreadable input or output path, unreachable server).
 """
 
@@ -132,13 +132,14 @@ def _parse_jobs_arg(text: str) -> int | str:
 
 
 class _OptionsError(Exception):
-    """A flag value :class:`FlowOptions` rejected: a usage error."""
+    """A flag value an options or request type rejected: a usage error."""
 
 
 @contextmanager
 def _flag_values() -> Iterator[None]:
-    """Report a ``ReproError`` raised while building options from flags
-    as :class:`_OptionsError`, so it maps to ``ExitCode.USAGE``."""
+    """Report a ``ReproError`` raised while building options or a
+    request from flags as :class:`_OptionsError`, so it maps to
+    ``ExitCode.USAGE``."""
     try:
         yield
     except ReproError as exc:
@@ -285,16 +286,18 @@ def cmd_tables(args: argparse.Namespace) -> int:
         if args.circuits
         else tuple(PROFILE_ORDER)
     )
-    run = run_tables(TablesRequest(
-        circuits=circuits,
-        parallel=args.parallel,
-        timeout=args.timeout or None,
-        max_retries=args.max_retries,
-        retry_backoff=args.retry_backoff,
-        checkpoint_dir=args.checkpoint_dir or None,
-        resume=args.resume,
-        ilp_time_limit=args.ilp_time_limit,
-    ))
+    with _flag_values():
+        request = TablesRequest(
+            circuits=circuits,
+            parallel=args.parallel,
+            timeout=args.timeout or None,
+            max_retries=args.max_retries,
+            retry_backoff=args.retry_backoff,
+            checkpoint_dir=args.checkpoint_dir or None,
+            resume=args.resume,
+            ilp_time_limit=args.ilp_time_limit,
+        )
+    run = run_tables(request)
     titles = {
         "table1": "Table I",
         "table2": "Table II",
@@ -329,17 +332,18 @@ def cmd_serve(args: argparse.Namespace) -> int:
     from .obs import TraceCollector
     from .server import ServerOptions, serve
 
-    options = ServerOptions(
-        workers=args.workers,
-        max_queue_depth=args.queue_depth,
-        cache_capacity=args.cache_capacity,
-        default_deadline_seconds=args.deadline or None,
-        task_timeout_seconds=args.task_timeout or None,
-        max_retries=args.max_retries,
-        retry_backoff_seconds=args.retry_backoff,
-        execution="inline" if args.inline else "process",
-        intra_jobs=args.intra_jobs,
-    )
+    with _flag_values():
+        options = ServerOptions(
+            workers=args.workers,
+            max_queue_depth=args.queue_depth,
+            cache_capacity=args.cache_capacity,
+            default_deadline_seconds=args.deadline or None,
+            task_timeout_seconds=args.task_timeout or None,
+            max_retries=args.max_retries,
+            retry_backoff_seconds=args.retry_backoff,
+            execution="inline" if args.inline else "process",
+            intra_jobs=args.intra_jobs,
+        )
     print(f"repro serve: listening on http://{args.host}:{args.port} "
           f"({options.workers} workers, queue depth "
           f"{options.max_queue_depth}, {options.execution} execution)")

@@ -48,6 +48,7 @@ from ..placement import (
     region_for_circuit,
 )
 from ..rotary import RingArray
+from ..sanitize import Sanitizer, sanitize_action_from_env
 from ..timing import (
     CriticalPathExtractor,
     TimingSnapshot,
@@ -173,7 +174,7 @@ class FlowOptions:
     #: (nets off critical paths keep weight 1.0).
     critical_weight: float = 3.0
     #: Arm the runtime nondeterminism tripwires
-    #: (:class:`repro.lint.sanitize.Sanitizer`) for the duration of the
+    #: (:class:`repro.sanitize.Sanitizer`) for the duration of the
     #: run: touching the global ``random`` / legacy ``numpy.random``
     #: state or the wall clock inside a flow stage raises
     #: :class:`~repro.errors.SanitizerError`.  The ``REPRO_SANITIZE``
@@ -611,10 +612,6 @@ class IntegratedFlow:
     def run(self) -> FlowResult:
         opts = self.options
         obs = self._resolve_collector()
-        # Lazy import: repro.lint pulls in analysis.diagnostics, whose
-        # package __init__ imports back into core.
-        from ..lint.sanitize import Sanitizer, sanitize_action_from_env
-
         action = sanitize_action_from_env()
         if action is None and opts.sanitize:
             action = "raise"

@@ -15,14 +15,7 @@ from .checkpoint import (
     experiment_key,
 )
 from .motivation import ZeroSkewComparison, zero_skew_comparison
-from .parallel import (
-    ParallelOptions,
-    ParallelSuiteRunner,
-    SuiteRunReport,
-    TaskFailure,
-    parallel_options_from_flags,
-    run_parallel_suite,
-)
+from .parallel import SuiteRunReport, TaskFailure, run_parallel_suite
 from .runner import (
     CircuitExperiment,
     ExperimentSuite,
@@ -46,11 +39,8 @@ __all__ = [
     "CHECKPOINT_FORMAT_VERSION",
     "CheckpointStore",
     "experiment_key",
-    "ParallelOptions",
-    "ParallelSuiteRunner",
     "SuiteRunReport",
     "TaskFailure",
-    "parallel_options_from_flags",
     "run_parallel_suite",
     "table1_integrality_gap",
     "table2_test_cases",

@@ -16,9 +16,9 @@ cache:
 * :meth:`ExperimentSuite.try_run` converts a crashing circuit into a
   recorded failure instead of an exception, which the table generators
   render as annotated partial rows;
-* :mod:`repro.experiments.parallel` fans the (circuit x engine) matrix
-  out over worker processes and installs the results through
-  :meth:`ExperimentSuite.install_results`.
+* :mod:`repro.experiments.parallel` runs the (circuit x engine) matrix
+  as jobs on the flow service's worker processes and installs the
+  results through :meth:`ExperimentSuite.install_results`.
 """
 
 from __future__ import annotations
@@ -130,7 +130,7 @@ class ExperimentSuite:
         self.resume = resume
         self._cache: dict[str, CircuitExperiment] = {}
         #: Per-circuit failure reasons (set by :meth:`try_run` and the
-        #: parallel runner); the table generators render these as
+        #: parallel suite); the table generators render these as
         #: annotated partial rows instead of raising.
         self.failures: dict[str, str] = {}
 
@@ -170,12 +170,12 @@ class ExperimentSuite:
         ilp_result = IntegratedFlow(
             circuit, self.tech, self.options_for(name, "ilp")
         ).run()
-        return self.install_results(name, flow_result, ilp_result)
+        return self.install_results(name, flow_result, ilp_result, circuit)
 
     def try_run(self, name: str) -> CircuitExperiment | None:
         """Like :meth:`run`, but a failure is recorded, not raised.
 
-        A circuit already marked failed (e.g. by the parallel runner
+        A circuit already marked failed (e.g. by the parallel suite
         after exhausting its retries) stays failed — table generation
         never silently re-runs a multi-minute flow behind a failure.
         """
@@ -191,17 +191,23 @@ class ExperimentSuite:
             return None
 
     def install_results(
-        self, name: str, flow_result: FlowResult, ilp_result: FlowResult
+        self,
+        name: str,
+        flow_result: FlowResult,
+        ilp_result: FlowResult,
+        circuit: Circuit | None = None,
     ) -> CircuitExperiment:
         """Assemble, cache, and checkpoint one circuit's experiment.
 
-        The serial path calls this with live :class:`FlowResult` objects;
-        the parallel runner calls it with results deserialized from its
-        workers.  Both produce identical experiments because every field
-        the metrics read round-trips exactly.
+        The serial path calls this with live :class:`FlowResult` objects
+        and the circuit it ran them on; the parallel suite calls it with
+        results deserialized from its workers, and the circuit is
+        generated here.  Both produce identical experiments because every
+        field the metrics read round-trips exactly.
         """
         profile = profile_for(name)
-        circuit = generate_circuit(profile)
+        if circuit is None:
+            circuit = generate_circuit(profile)
 
         # Conventional clock-tree baseline over the flip-flop locations
         # of the clock-oblivious *initial* placement — the paper's "for

@@ -12,7 +12,9 @@ Two halves of one guarantee:
 * a **runtime sanitizer** (:class:`Sanitizer`, ``REPRO_SANITIZE=1``,
   ``FlowOptions(sanitize=True)``): tripwires over ``time.time`` and the
   global ``random`` / ``numpy.random`` state that confirm dynamically
-  what the static pass claims.
+  what the static pass claims.  They live in :mod:`repro.sanitize`,
+  which the flow imports without loading the linter, and are
+  re-exported here.
 
 Suppressions are inline pragmas with mandatory justification::
 
@@ -24,7 +26,7 @@ from .findings import LintFinding, LintReport, Severity
 from .pragmas import Pragma, scan_pragmas
 from .reporters import render_json, render_sarif, render_text, sarif_document
 from .rules import LintRule, registered_lint_rules, rule_by_code
-from .sanitize import SANITIZE_ENV, Sanitizer, sanitize_action_from_env
+from ..sanitize import SANITIZE_ENV, Sanitizer, sanitize_action_from_env
 
 __all__ = [
     "LintConfig",

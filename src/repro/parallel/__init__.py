@@ -2,8 +2,8 @@
 
 Every kernel on the Fig. 3 critical path is vectorized, but a single
 flow run historically used exactly one core — all pre-existing
-parallelism is *across* runs (table waves in
-:mod:`repro.experiments.pool`, server jobs in :mod:`repro.server`).
+parallelism is *across* runs (the flow service's process-pool waves in
+:mod:`repro.server.pool`, which also run the parallel table suite).
 This package parallelizes *inside* one run: hot loops split their work
 into **fixed chunks** and dispatch the chunks to a persistent,
 lazily-started worker pool.

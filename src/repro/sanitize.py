@@ -22,6 +22,10 @@ sanitizer must not wrap code that runs concurrent threads drawing from
 the global RNG — flow runs are single-threaded, and worker processes
 arm their own sanitizer via the environment variable.
 
+The module needs only :mod:`repro.errors` and :mod:`repro.obs`, so the
+flow imports it at module level without loading the linter;
+:mod:`repro.lint` re-exports its three public names.
+
 Deliberately *not* patched: ``time.monotonic`` / ``time.perf_counter``
 (latency metrics are legitimate — they never feed flow decisions),
 seeded ``random.Random`` / ``numpy.random.Generator`` instances (the
@@ -39,8 +43,8 @@ from typing import Any, Callable, Literal
 
 import numpy as np
 
-from ..errors import SanitizerError
-from ..obs import NULL_COLLECTOR, Collector
+from .errors import SanitizerError
+from .obs import NULL_COLLECTOR, Collector
 
 __all__ = [
     "SANITIZE_ENV",

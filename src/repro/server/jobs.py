@@ -137,7 +137,7 @@ class JobStore:
             if not self._queue and not self._stopping and timeout > 0.0:
                 self._changed.wait(timeout)
             claimed: list[Job] = []
-            while self._queue and len(claimed) < max_jobs:
+            while self._queue and len(claimed) < max_jobs and not self._stopping:
                 claimed.append(self._jobs[self._queue.popleft()])
             return claimed
 

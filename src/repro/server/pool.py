@@ -1,9 +1,8 @@
-"""Reusable wave-scheduled process-pool execution.
+"""Wave-scheduled process-pool execution for the flow service.
 
-The hardened scheduling core of :mod:`repro.experiments.parallel`,
-extracted so the batch table runner and the long-lived
-:mod:`repro.server` worker pool share one implementation of the three
-guarantees that make process fan-out safe:
+The process-mode dispatcher of :class:`~repro.server.service.FlowService`
+runs its jobs through :func:`run_wave`, which gives process fan-out
+three guarantees:
 
 * **honest deadlines** — a wave never exceeds the worker count, so every
   submitted task starts executing immediately and its wall-clock timeout
@@ -11,15 +10,14 @@ guarantees that make process fan-out safe:
 * **hung-worker teardown** — a timeout or worker death abandons the
   whole pool generation (:func:`drain_pool` terminates anything still
   alive); tasks that neither finished nor caused the teardown are
-  reported unpenalized so callers requeue them at the same attempt;
+  reported unpenalized so the dispatcher requeues them at the same
+  attempt;
 * **bounded exponential backoff** — :func:`backoff_delay` is the one
-  formula both callers use between retries.
+  formula between retries.
 
 Task functions must be module-level picklable (they run in
 ``ProcessPoolExecutor`` workers) and receive the task's ``payload``
-dict.  The scheduler itself is synchronous: callers own the retry loop
-and queue discipline, which differ between a batch suite (drain a fixed
-matrix) and a server (pull from a live queue under deadlines).
+dict.
 """
 
 from __future__ import annotations
@@ -27,7 +25,7 @@ from __future__ import annotations
 import time
 from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FutureTimeoutError
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Hashable, Mapping, Sequence
 
 from ..obs import NULL_COLLECTOR, Collector
@@ -47,10 +45,8 @@ class WaveTask:
     attempt: int = 1
     #: Monotonic timestamp before which the task must not run (backoff).
     not_before: float = 0.0
-    last_kind: str = "error"
-    last_message: str = ""
-    #: Caller context carried through scheduling untouched.
-    context: dict[str, Any] = field(default_factory=dict)
+    #: Monotonic instant the job's deadline passes (None = no deadline).
+    deadline_at: float | None = None
 
 
 def backoff_delay(backoff_seconds: float, attempt: int) -> float:
@@ -87,8 +83,6 @@ def run_wave(
     workers: int,
     timeout: float | None,
     collector: Collector = NULL_COLLECTOR,
-    span_name: str = "pool.wave",
-    on_result: Callable[[WaveTask, dict[str, Any]], None] | None = None,
 ) -> tuple[dict[Hashable, dict[str, Any]], list[WaveFailure]]:
     """One pool generation over at most ``workers`` tasks.
 
@@ -99,21 +93,14 @@ def run_wave(
     the soft failures.  A timeout or worker death abandons the
     generation: its processes are terminated, already-finished futures
     are salvaged, and untouched wave-mates come back as unpenalized
-    ``"aborted"`` failures.  ``on_result`` runs in the caller's process
-    for each completed task (e.g. trace merging) before the wave returns.
+    ``"aborted"`` failures.
     """
     ok: dict[Hashable, dict[str, Any]] = {}
     failed: list[WaveFailure] = []
-
-    def harvest(task: WaveTask, payload: dict[str, Any]) -> None:
-        if on_result is not None:
-            on_result(task, payload)
-        ok[task.key] = payload
-
     pool = ProcessPoolExecutor(max_workers=max(1, min(workers, len(wave))))
     broken = False
     try:
-        with collector.span(span_name, tasks=len(wave)):
+        with collector.span("server.wave", tasks=len(wave)):
             futures = [(task, pool.submit(fn, task.payload)) for task in wave]
             deadline = (
                 None if timeout is None else time.monotonic() + timeout
@@ -123,7 +110,7 @@ def run_wave(
                     # The generation is being abandoned; salvage whatever
                     # already finished.
                     if future.done():
-                        _collect_done(task, future, harvest, failed)
+                        _collect_done(task, future, ok, failed)
                     else:
                         failed.append((task, "aborted", "", False))
                     continue
@@ -133,7 +120,7 @@ def run_wave(
                         if deadline is None
                         else max(0.0, deadline - time.monotonic())
                     )
-                    payload = future.result(timeout=remaining)
+                    ok[task.key] = future.result(timeout=remaining)
                 except FutureTimeoutError:
                     failed.append(
                         (
@@ -153,8 +140,6 @@ def run_wave(
                     failed.append(
                         (task, "error", f"{type(exc).__name__}: {exc}", True)
                     )
-                else:
-                    harvest(task, payload)
     finally:
         if broken:
             drain_pool(pool)
@@ -166,18 +151,16 @@ def run_wave(
 def _collect_done(
     task: WaveTask,
     future: Any,
-    harvest: Callable[[WaveTask, dict[str, Any]], None],
+    ok: dict[Hashable, dict[str, Any]],
     failed: list[WaveFailure],
 ) -> None:
     """Harvest an already-done future during generation teardown."""
     try:
-        payload = future.result(timeout=0)
+        ok[task.key] = future.result(timeout=0)
     except BrokenExecutor:
         failed.append((task, "aborted", "", False))
     except Exception as exc:  # repro: lint-disable=API002 -- fault boundary: harvested futures surface arbitrary worker exception types
         failed.append((task, "error", f"{type(exc).__name__}: {exc}", True))
-    else:
-        harvest(task, payload)
 
 
 __all__ = [

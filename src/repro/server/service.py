@@ -3,9 +3,11 @@
 :class:`FlowService` is the transport-independent core that
 :mod:`repro.server.http` exposes over HTTP.  One dispatcher thread pulls
 queued jobs and runs them in waves on a process pool via
-:func:`repro.experiments.pool.run_wave` — the same hardened scheduler
-the parallel table suite uses, with the same guarantees: honest per-wave
-deadlines, hung-worker teardown, bounded exponential-backoff retries.
+:func:`repro.server.pool.run_wave`: honest per-wave deadlines,
+hung-worker teardown, bounded exponential-backoff retries.  It is the
+repo's one job scheduler — the parallel table suite
+(:func:`repro.experiments.parallel.run_parallel_suite`) submits its
+(circuit x engine) flows to an in-process service and waits for them.
 
 Load shedding has three knobs:
 
@@ -40,13 +42,13 @@ import time
 from dataclasses import dataclass
 from typing import Any, Literal, Mapping
 
-from ..api import JobError, JobState
+from ..api import JobError, JobState, _check_fields, _is_count, _is_seconds
 from ..core import IterationRecord
 from ..errors import ServerError
-from ..experiments.pool import WaveTask, backoff_delay, run_wave
 from ..obs import NULL_COLLECTOR, Collector
 from .cache import ResultCache
 from .jobs import Job, JobStore, Request
+from .pool import WaveTask, backoff_delay, run_wave
 from .worker import execute_request_payload
 
 
@@ -83,6 +85,61 @@ class ServerOptions:
     #: rewrite never forks cache or checkpoint keys.
     intra_jobs: int | Literal["auto"] = "auto"
 
+    def __post_init__(self) -> None:
+        """Reject settings no scheduler honours, naming field and value."""
+        count, seconds = "an integer >= 1", "a finite number >= 0"
+        deadline = "None or a finite number > 0"
+        _check_fields(
+            self,
+            (
+                ("workers", _is_count(self.workers, 1), count),
+                ("max_queue_depth", _is_count(self.max_queue_depth, 1), count),
+                ("cache_capacity", _is_count(self.cache_capacity, 1), count),
+                (
+                    "default_deadline_seconds",
+                    _is_deadline(self.default_deadline_seconds),
+                    deadline,
+                ),
+                (
+                    "task_timeout_seconds",
+                    _is_deadline(self.task_timeout_seconds),
+                    deadline,
+                ),
+                ("max_retries", _is_count(self.max_retries, 0), "an integer >= 0"),
+                (
+                    "retry_backoff_seconds",
+                    _is_seconds(self.retry_backoff_seconds),
+                    seconds,
+                ),
+                (
+                    "retry_after_seconds",
+                    _is_seconds(self.retry_after_seconds),
+                    seconds,
+                ),
+                (
+                    "execution",
+                    self.execution in ("process", "inline"),
+                    "'process' or 'inline'",
+                ),
+                (
+                    "poll_seconds",
+                    _is_seconds(self.poll_seconds, positive=True),
+                    "a finite number > 0",
+                ),
+                (
+                    "intra_jobs",
+                    self.intra_jobs == "auto" or _is_count(self.intra_jobs, 1),
+                    "an integer >= 1 or 'auto'",
+                ),
+            ),
+            ServerError,
+        )
+
+
+def _is_deadline(value: float | None) -> bool:
+    """``value`` is ``None`` (no deadline) or finite seconds ``> 0``."""
+    return value is None or _is_seconds(value, positive=True)
+
 
 def _budget_intra_jobs(options: ServerOptions) -> int:
     """Per-job intra-run worker budget for this service configuration.
@@ -92,15 +149,12 @@ def _budget_intra_jobs(options: ServerOptions) -> int:
     their :mod:`repro.parallel` chunk pools.  Inline execution runs one
     job at a time on the dispatcher thread, so it gets every core.
     """
-    intra = options.intra_jobs
-    if intra != "auto":
-        if not isinstance(intra, int) or isinstance(intra, bool) or intra < 1:
-            raise ServerError("ServerOptions.intra_jobs must be >= 1 or 'auto'")
-        return intra
+    if isinstance(options.intra_jobs, int):
+        return options.intra_jobs
     cores = max(1, os.cpu_count() or 1)
     if options.execution == "inline":
         return cores
-    return max(1, cores // max(1, options.workers))
+    return max(1, cores // options.workers)
 
 
 class FlowService:
@@ -112,8 +166,6 @@ class FlowService:
         collector: Collector = NULL_COLLECTOR,
     ) -> None:
         self.options = options or ServerOptions()
-        if self.options.workers < 1:
-            raise ServerError("ServerOptions.workers must be >= 1")
         self.intra_jobs = _budget_intra_jobs(self.options)
         self.collector = collector
         self.cache = ResultCache(
@@ -122,6 +174,13 @@ class FlowService:
         self.jobs = JobStore(self.options.max_queue_depth)
         self.shed_queue_full = 0
         self.shed_deadline = 0
+        #: Failed attempts by kind (penalized ones only: an innocent
+        #: wave-mate requeued after a teardown is not a failure), and
+        #: attempts requeued for a retry.
+        self.crashes = 0
+        self.errors = 0
+        self.timeouts = 0
+        self.retries = 0
         self._stop = threading.Event()
         self._thread: threading.Thread | None = None
 
@@ -138,7 +197,10 @@ class FlowService:
         return self
 
     def close(self) -> None:
-        """Stop the dispatcher (waits for the in-flight wave to land)."""
+        """Stop the dispatcher (waits for the in-flight wave to land).
+
+        Jobs still queued, or waiting out a retry backoff, are not run.
+        """
         self._stop.set()
         self.jobs.stop()
         if self._thread is not None:
@@ -198,6 +260,12 @@ class FlowService:
                 "queue_full": self.shed_queue_full,
                 "deadline": self.shed_deadline,
             },
+            "failures": {
+                "crash": self.crashes,
+                "error": self.errors,
+                "timeout": self.timeouts,
+            },
+            "retries": self.retries,
             "workers": self.options.workers,
             "execution": self.options.execution,
             "intra_jobs": self.intra_jobs,
@@ -222,7 +290,9 @@ class FlowService:
                     if task is not None:
                         pending.append(task)
                         due.append(task)
-            if self._stop.is_set() and not pending:
+            if self._stop.is_set():
+                # Queued jobs and retries not yet due are abandoned:
+                # after close() nobody collects their results.
                 break
             if not due:
                 if pending:
@@ -249,7 +319,7 @@ class FlowService:
                 "request": job.request.to_dict(),
                 "intra_jobs": self.intra_jobs,
             },
-            context={"deadline_at": job.deadline_at},
+            deadline_at=job.deadline_at,
         )
 
     def _shed_deadline(self, job_id: str, attempts: int) -> None:
@@ -277,9 +347,8 @@ class FlowService:
         now = time.monotonic()
         timeout = opts.task_timeout_seconds
         for task in wave:
-            deadline_at = task.context.get("deadline_at")
-            if deadline_at is not None:
-                remaining = max(0.1, float(deadline_at) - now)
+            if task.deadline_at is not None:
+                remaining = max(0.1, task.deadline_at - now)
                 timeout = (
                     remaining if timeout is None else min(timeout, remaining)
                 )
@@ -289,8 +358,6 @@ class FlowService:
             workers=opts.workers,
             timeout=timeout,
             collector=self.collector,
-            span_name="server.wave",
-            on_result=self._merge_trace,
         )
         for job_id in sorted(ok):
             self._emit_iteration_events(str(job_id), ok[job_id]["response"])
@@ -303,11 +370,11 @@ class FlowService:
                 # the same attempt, no backoff.
                 requeue.append(task)
                 continue
-            deadline_at = task.context.get("deadline_at")
+            self._count_failure(kind)
             if (
                 kind == "timeout"
-                and deadline_at is not None
-                and time.monotonic() >= float(deadline_at)
+                and task.deadline_at is not None
+                and time.monotonic() >= task.deadline_at
             ):
                 self._shed_deadline(job_id, task.attempt)
                 continue
@@ -320,6 +387,7 @@ class FlowService:
                     ),
                 )
                 continue
+            self.retries += 1
             self.collector.count("server.retries")
             task.attempt += 1
             task.payload["attempt"] = task.attempt
@@ -331,14 +399,23 @@ class FlowService:
             requeue.append(task)
         return requeue
 
-    def _merge_trace(self, task: WaveTask, payload: dict[str, Any]) -> None:
+    def _count_failure(self, kind: str) -> None:
+        """Tally one penalized failed attempt by its kind."""
+        if kind == "crash":
+            self.crashes += 1
+        elif kind == "timeout":
+            self.timeouts += 1
+        else:
+            self.errors += 1
+        self.collector.count(f"server.failures.{kind}")
+
+    def _complete(self, job_id: str, payload: Mapping[str, Any]) -> None:
+        """Fold the worker's trace into the collector; finish and cache."""
         self.collector.gauge(
-            f"server.job-seconds.{task.key}", float(payload["seconds"])
+            f"server.job-seconds.{job_id}", float(payload["seconds"])
         )
         self.collector.merge_counters(payload.get("counters", {}))
         self.collector.merge_gauges(payload.get("gauges", {}))
-
-    def _complete(self, job_id: str, payload: Mapping[str, Any]) -> None:
         doc = dict(payload["response"])
         digest = str(doc.get("request_digest", ""))
         if digest:
@@ -378,6 +455,7 @@ class FlowService:
         try:
             payload = execute_request_payload(task.payload, on_iteration)
         except Exception as exc:  # repro: lint-disable=API002 -- fault boundary: an inline job failure of any type must become a FAILED job, not kill the dispatcher thread
+            self._count_failure("error")
             self.collector.count("server.jobs-failed")
             self.jobs.fail(
                 job_id,
@@ -388,7 +466,6 @@ class FlowService:
                 ),
             )
             return
-        self._merge_trace(task, payload)
         self._complete(job_id, payload)
 
     # ------------------------------------------------------------------

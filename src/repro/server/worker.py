@@ -1,12 +1,13 @@
 """Worker-side job execution (module-level picklable).
 
 :func:`execute_request_payload` is the one function that executes a
-request: the service's process pool and its inline mode run it, and so
-do the parallel table suite's workers.  It takes the wire payload (job
-kind + serialized request), rebuilds the typed request, executes it
-in-process, and returns a picklable document: the response plus the
-worker's trace counters/gauges, which the parent folds into its
-collector.
+request: the service's process pool and its inline mode run it, and the
+parallel table suite's flows are service jobs too.  It takes the wire
+payload (job kind + serialized request), rebuilds the typed request,
+executes it in-process, and returns a picklable document: the response
+plus the worker's trace counters/gauges, which the parent folds into
+its collector.  Everything a job needs is imported with this module,
+so a worker forked from a server imports nothing per job.
 
 For tests and CI smoke runs, the ``REPRO_EXPERIMENTS_FAULT`` environment
 variable injects worker faults: a comma-separated list of
@@ -28,6 +29,8 @@ import os
 import time
 from typing import Any, Callable, Mapping
 
+from ..analysis import render_json
+from ..analysis.checker import CheckConfig
 from ..api import (
     API_VERSION,
     CheckRequest,
@@ -82,9 +85,6 @@ def _maybe_inject_fault(circuit: str, engine: str, attempt: int) -> None:
 
 def check_response_doc(request: CheckRequest) -> dict[str, Any]:
     """Run one check request and wrap the report as a wire document."""
-    from ..analysis import render_json
-    from ..analysis.checker import CheckConfig
-
     report = check_design(request)
     config = request.config if request.config is not None else CheckConfig()
     return {

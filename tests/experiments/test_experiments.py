@@ -53,6 +53,24 @@ class TestSuite:
         b = suite.run("tinyB")
         assert a.circuit.name != b.circuit.name
 
+    def test_run_generates_the_circuit_once(self, monkeypatch):
+        from repro.core import FlowOptions
+        from repro.experiments import runner
+
+        generate = runner.generate_circuit
+        calls = []
+
+        def counting(profile):
+            calls.append(profile.name)
+            return generate(profile)
+
+        monkeypatch.setattr(runner, "generate_circuit", counting)
+        fresh = ExperimentSuite(
+            circuits=["tinyA"], options=FlowOptions(max_iterations=1)
+        )
+        fresh.run("tinyA")
+        assert calls == ["tinyA"]
+
 
 class TestTables:
     def test_table1(self, suite):

@@ -1,4 +1,4 @@
-"""Tests for the parallel, fault-tolerant experiment runner.
+"""Tests for the parallel, fault-tolerant table suite on the flow service.
 
 Determinism contract (also asserted by the CI ``tables-smoke`` job):
 Tables II, VI, and VII are byte-identical between serial, parallel, and
@@ -8,17 +8,16 @@ Table I embeds a *time-limited* generic ILP solve and is excluded.
 """
 
 import json
-import os
 
 import pytest
 
+import repro.experiments
+from repro.api import TablesRequest, run_tables
 from repro.core import FlowOptions
+from repro.errors import ServerError
 from repro.experiments import (
     CheckpointStore,
     ExperimentSuite,
-    ParallelOptions,
-    ParallelSuiteRunner,
-    parallel_options_from_flags,
     run_parallel_suite,
     table2_test_cases,
     table3_base_case,
@@ -27,6 +26,7 @@ from repro.experiments import (
     table6_power,
     table7_wcp,
 )
+from repro.server import ServerOptions
 from repro.server.worker import FAULT_ENV, _maybe_inject_fault
 
 OPTS = FlowOptions(max_iterations=2)
@@ -71,7 +71,7 @@ def serial_suite():
 @pytest.fixture(scope="module")
 def parallel_suite():
     suite = ExperimentSuite(circuits=CIRCUITS, options=OPTS)
-    report = run_parallel_suite(suite, ParallelOptions(workers=2))
+    report = run_parallel_suite(suite, ServerOptions(workers=2))
     assert report.ok, report
     return suite, report
 
@@ -114,7 +114,7 @@ class TestFaultTolerance:
         suite = ExperimentSuite(circuits=["tinyA"], options=OPTS)
         report = run_parallel_suite(
             suite,
-            ParallelOptions(workers=2, max_retries=2, backoff_seconds=0.05),
+            ServerOptions(workers=2, max_retries=2, retry_backoff_seconds=0.05),
         )
         assert report.ok, report
         assert report.crashes >= 1
@@ -125,7 +125,7 @@ class TestFaultTolerance:
         monkeypatch.setenv(FAULT_ENV, "tinyB:*:error")
         suite = ExperimentSuite(circuits=CIRCUITS, options=OPTS)
         report = run_parallel_suite(
-            suite, ParallelOptions(workers=2, max_retries=0)
+            suite, ServerOptions(workers=2, max_retries=0)
         )
         assert not report.ok
         assert {f.circuit for f in report.failed} == {"tinyB"}
@@ -141,7 +141,8 @@ class TestFaultTolerance:
         monkeypatch.setenv(FAULT_ENV, "tinyA:flow:hang")
         suite = ExperimentSuite(circuits=["tinyA"], options=OPTS)
         report = run_parallel_suite(
-            suite, ParallelOptions(workers=2, timeout=3.0, max_retries=0)
+            suite,
+            ServerOptions(workers=2, task_timeout_seconds=3.0, max_retries=0),
         )
         assert not report.ok
         assert report.timeouts >= 1
@@ -154,7 +155,7 @@ class TestFaultTolerance:
         first = ExperimentSuite(
             circuits=CIRCUITS, options=OPTS, checkpoints=store, resume=True
         )
-        report1 = run_parallel_suite(first, ParallelOptions(workers=2, max_retries=0))
+        report1 = run_parallel_suite(first, ServerOptions(workers=2, max_retries=0))
         assert not report1.ok and first.is_cached("tinyA")
         assert len(store.entries()) == 1  # tinyA checkpointed, tinyB not
 
@@ -162,7 +163,7 @@ class TestFaultTolerance:
         second = ExperimentSuite(
             circuits=CIRCUITS, options=OPTS, checkpoints=store, resume=True
         )
-        report2 = run_parallel_suite(second, ParallelOptions(workers=2))
+        report2 = run_parallel_suite(second, ServerOptions(workers=2))
         assert report2.ok
         assert report2.resumed == ("tinyA",)
         assert report2.completed == ("tinyB",)
@@ -199,16 +200,42 @@ class TestFaultInjectionHook:
         _maybe_inject_fault("tinyA", "flow", 1)
 
 
+class _Captured(Exception):
+    """Stops ``run_tables`` once it has built the service options."""
+
+
 class TestOptions:
-    def test_flags_helper(self):
-        opts = parallel_options_from_flags(4, timeout=0.0, max_retries=1, backoff=0.1)
-        assert opts.workers == 4
-        assert opts.timeout is None  # 0 = no deadline
-        assert opts.max_retries == 1
-        assert parallel_options_from_flags(0).workers == 1
-        assert parallel_options_from_flags(2, timeout=5.0).timeout == 5.0
+    def test_flags_helper(self, monkeypatch):
+        # run_tables turns the request's flags into the ServerOptions
+        # the suite runs on; capture them instead of running the suite.
+        built = []
+
+        def capture(suite, options, collector):
+            built.append(options)
+            raise _Captured
+
+        monkeypatch.setattr(repro.experiments, "run_parallel_suite", capture)
+        request = TablesRequest(
+            circuits=("tinyA",),
+            options=OPTS.replace(jobs=2),
+            parallel=4,
+            timeout=0.0,
+            max_retries=1,
+            retry_backoff=0.1,
+        )
+        with pytest.raises(_Captured):
+            run_tables(request)
+        with pytest.raises(_Captured):
+            run_tables(request.replace(parallel=2, timeout=5.0))
+        first, second = built
+        assert first.workers == 4
+        assert first.task_timeout_seconds is None  # 0 = no deadline
+        assert first.max_retries == 1
+        assert first.retry_backoff_seconds == 0.1
+        assert first.intra_jobs == 2
+        assert second.workers == 2
+        assert second.task_timeout_seconds == 5.0
 
     def test_bad_worker_count_rejected(self):
-        suite = ExperimentSuite(circuits=["tinyA"], options=OPTS)
-        with pytest.raises(ValueError):
-            ParallelSuiteRunner(suite, ParallelOptions(workers=0))
+        with pytest.raises(ServerError, match="workers"):
+            ServerOptions(workers=0)

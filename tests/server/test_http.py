@@ -14,7 +14,13 @@ import urllib.request
 
 import pytest
 
-from repro.api import API_VERSION, FlowRequest, JobState, JobStatus
+from repro.api import (
+    API_VERSION,
+    FlowRequest,
+    JobState,
+    JobStatus,
+    TablesRequest,
+)
 from repro.core import FlowOptions
 from repro.errors import SaturatedError, ServerError
 from repro.obs import TraceCollector
@@ -102,6 +108,8 @@ class TestEndpoints:
         stats = client.stats()
         assert stats["workers"] == 1 and stats["execution"] == "inline"
         assert set(stats["shed"]) == {"deadline", "queue_full"}
+        assert stats["failures"] == {"crash": 0, "error": 0, "timeout": 0}
+        assert stats["retries"] == 0
         assert stats["jobs"]["done"] >= 1
 
     def test_unknown_job_is_404(self, client):
@@ -118,10 +126,10 @@ class TestEndpoints:
         with pytest.raises(ServerError, match="404"):
             client._check(*client._call("POST", "/v1/nope", {}))
 
-    def _post_flow(self, server, doc: dict) -> int:
-        """POST ``doc`` to the flow endpoint; the HTTP error status."""
+    def _post_doc(self, server, doc: dict, endpoint: str = "flows") -> int:
+        """POST ``doc`` to a submit endpoint; the HTTP error status."""
         request = urllib.request.Request(
-            server.url + "/v1/flows",
+            server.url + f"/v1/{endpoint}",
             data=json.dumps(doc).encode(),
             headers={"Content-Type": "application/json"},
             method="POST",
@@ -132,12 +140,12 @@ class TestEndpoints:
 
     def test_malformed_document_is_400(self, server):
         doc = {"api_version": API_VERSION, "kind": "flow"}  # missing circuit
-        assert self._post_flow(server, doc) == 400
+        assert self._post_doc(server, doc) == 400
 
     def test_invalid_options_are_400(self, server):
         doc = REQUEST.to_dict()
         doc["options"]["assignment"] = "Flow"
-        assert self._post_flow(server, doc) == 400
+        assert self._post_doc(server, doc) == 400
 
     @pytest.mark.parametrize(
         ("field", "value"), [("ring_grid_side", 0), ("candidate_rings", -1)]
@@ -145,7 +153,15 @@ class TestEndpoints:
     def test_out_of_range_options_are_400(self, server, field, value):
         doc = REQUEST.to_dict()
         doc["options"][field] = value
-        assert self._post_flow(server, doc) == 400
+        assert self._post_doc(server, doc) == 400
+
+    @pytest.mark.parametrize(
+        ("field", "value"), [("parallel", -1), ("timeout", -1.0)]
+    )
+    def test_out_of_range_tables_settings_are_400(self, server, field, value):
+        doc = TablesRequest(circuits=("s27",)).to_dict()
+        doc[field] = value
+        assert self._post_doc(server, doc, endpoint="tables") == 400
 
     def test_result_before_terminal_is_409(self, server, client):
         # Submit directly to the store, bypassing the dispatcher, so the

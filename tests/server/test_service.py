@@ -12,6 +12,11 @@ them late.
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+import threading
+from pathlib import Path
 from typing import Any
 
 import pytest
@@ -150,6 +155,7 @@ class TestProcessExecution:
         assert job.error is not None
         assert job.error.kind == "crash"
         assert job.error.attempts == 1
+        assert (service.crashes, service.retries) == (1, 0)
 
     def test_crash_once_retried_to_success(self, monkeypatch):
         monkeypatch.setenv(FAULT_ENV, "s27:flow:crash:1")
@@ -160,6 +166,9 @@ class TestProcessExecution:
             job = service.wait(service.submit(REQUEST).job_id)
         assert job.state is JobState.DONE
         assert job.attempts == 2
+        stats = service.stats()
+        assert stats["failures"] == {"crash": 1, "error": 0, "timeout": 0}
+        assert stats["retries"] == 1
 
     def test_check_request_runs_in_worker(self):
         request = CheckRequest(circuit="s27", options=FAST, netlist_only=True)
@@ -169,6 +178,78 @@ class TestProcessExecution:
         assert job.result_doc["kind"] == "check"
         assert job.result_doc["report"]["design"] == "s27"
         assert "exit_code" in job.result_doc
+
+
+class TestOptionsValidation:
+    """Settings no scheduler honours fail at construction, naming field
+    and value, instead of shedding or timing out every job later."""
+
+    @pytest.mark.parametrize(
+        ("field", "value"),
+        [
+            ("workers", 0),
+            ("workers", True),
+            ("max_queue_depth", 0),
+            ("cache_capacity", 0),
+            ("default_deadline_seconds", -1.0),
+            ("default_deadline_seconds", 0.0),
+            ("task_timeout_seconds", -1.0),
+            ("task_timeout_seconds", float("inf")),
+            ("max_retries", -1),
+            ("retry_backoff_seconds", -0.1),
+            ("retry_after_seconds", float("nan")),
+            ("poll_seconds", 0.0),
+            ("execution", "thread"),
+            ("intra_jobs", 0),
+            ("intra_jobs", "all"),
+        ],
+    )
+    def test_out_of_range_rejected(self, field, value):
+        with pytest.raises(ServerError, match=f"ServerOptions.{field} must be"):
+            ServerOptions(**{field: value})
+
+    def test_defaults_and_limits_accepted(self):
+        ServerOptions()
+        ServerOptions(
+            workers=1,
+            max_queue_depth=1,
+            cache_capacity=1,
+            default_deadline_seconds=1e-6,
+            task_timeout_seconds=3,
+            max_retries=0,
+            retry_backoff_seconds=0,
+            retry_after_seconds=0.0,
+            intra_jobs=1,
+        )
+
+
+class TestClose:
+    def test_close_runs_no_queued_job(self, monkeypatch):
+        """close() waits for the running job only: a job still queued is
+        never started, since nobody would collect its result (the HTTP
+        socket is already closed, or the table suite was interrupted)."""
+        import repro.server.service as service_module
+
+        service = FlowService(ServerOptions(workers=1, execution="inline"))
+        started = threading.Event()
+        ran = []
+
+        def blocking(payload, on_iteration=None):
+            ran.append(payload["request"]["circuit"])
+            started.set()
+            # Finish only once close() has been called.
+            service._stop.wait(10.0)
+            raise RuntimeError("interrupted")
+
+        monkeypatch.setattr(service_module, "execute_request_payload", blocking)
+        first = service.submit(REQUEST)
+        second = service.submit(REQUEST.replace(circuit="s344"))
+        service.start()
+        assert started.wait(10.0)
+        service.close()
+        assert ran == ["s27"]
+        assert service.jobs.get(first.job_id).state is JobState.FAILED
+        assert service.jobs.get(second.job_id).state is JobState.QUEUED
 
 
 class TestLoadShedding:
@@ -207,3 +288,49 @@ class TestLoadShedding:
             service.wait(job.job_id)
         with pytest.raises(ServerError, match="has no result"):
             service.result_doc(job.job_id)
+
+
+#: Runs in a fresh interpreter: makes the imports ``repro serve`` makes,
+#: then executes one flow and one check payload the way a forked worker
+#: would, and prints every ``repro`` module the two jobs imported.
+_WORKER_IMPORTS_DRIVER = """
+import json
+import sys
+
+import repro.cli
+from repro.obs import TraceCollector
+from repro.server import ServerOptions, serve
+from repro.api import CheckRequest, FlowRequest
+from repro.core import FlowOptions
+from repro.server.worker import execute_request_payload
+
+def loaded():
+    return {m for m in sys.modules if m == "repro" or m.startswith("repro.")}
+
+before = loaded()
+options = FlowOptions(max_iterations=1, ring_grid_side=2)
+for kind, request in (
+    ("flow", FlowRequest(circuit="s27", options=options)),
+    ("check", CheckRequest(circuit="s27", options=options)),
+):
+    execute_request_payload(
+        {"kind": kind, "attempt": 1, "request": request.to_dict()}
+    )
+print(json.dumps(sorted(loaded() - before)))
+"""
+
+
+def test_forked_worker_imports_nothing_per_job():
+    """A worker forked from ``repro serve`` already holds every module a
+    flow or check job needs, so no job pays for imports."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parents[2] / "src")
+    proc = subprocess.run(
+        [sys.executable, "-c", _WORKER_IMPORTS_DRIVER],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.strip().splitlines()[-1]) == []

@@ -39,6 +39,38 @@ class TestRequestNormalization:
         assert request.normalized().options.ring_grid_side == 2
 
 
+class TestTablesRequestValidation:
+    """Execution settings no scheduler honours are rejected at
+    construction, naming field and value (a 400 at ``POST /v1/tables``,
+    a usage error on the command line)."""
+
+    @pytest.mark.parametrize(
+        ("field", "value"),
+        [
+            ("parallel", -1),
+            ("timeout", -1.0),
+            ("timeout", math.inf),
+            ("timeout", math.nan),
+            ("max_retries", -1),
+            ("retry_backoff", -0.5),
+            ("retry_backoff", math.inf),
+        ],
+    )
+    def test_out_of_range_rejected(self, field, value):
+        with pytest.raises(ReproError, match=f"TablesRequest.{field} must be"):
+            repro.TablesRequest(**{field: value})
+
+    def test_zero_timeout_means_no_deadline(self):
+        request = repro.TablesRequest(parallel=2, timeout=0.0, retry_backoff=0)
+        assert request.timeout == 0.0
+
+    def test_from_dict_validates(self):
+        doc = repro.TablesRequest().to_dict()
+        doc["max_retries"] = -2
+        with pytest.raises(ReproError, match="max_retries"):
+            repro.TablesRequest.from_dict(doc)
+
+
 class TestFacadeTakesOnlyRequests:
     def test_non_request_rejected(self):
         """Each facade function names the request type it takes; a live

@@ -262,6 +262,23 @@ class TestTablesCommand:
         assert rc == 0
         assert "1 resumed from checkpoints" in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        ("flags", "field"),
+        [
+            (["--timeout", "-1"], "timeout"),
+            (["--timeout", "inf"], "timeout"),
+            (["--parallel", "-1"], "parallel"),
+            (["--max-retries", "-1"], "max_retries"),
+            (["--retry-backoff", "-0.5"], "retry_backoff"),
+        ],
+    )
+    def test_bad_execution_flag_is_usage_error(self, flags, field, capsys):
+        rc = main(["tables", "--circuits", "tinyA", "--parallel", "2", *flags])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"repro tables: TablesRequest.{field} must be")
+        assert err.count("\n") == 1 and "Traceback" not in err
+
     def test_injected_failure_exits_one_with_partial_tables(
         self, monkeypatch, capsys
     ):
@@ -276,6 +293,34 @@ class TestTablesCommand:
         captured = capsys.readouterr()
         assert "error" in captured.out  # annotated partial rows
         assert "tinyB failed" in captured.err
+
+
+class TestServeCommand:
+    """``repro serve`` rejects bad settings before it binds a socket."""
+
+    @pytest.mark.parametrize(
+        ("flags", "field"),
+        [
+            (["--workers", "0"], "workers"),
+            (["--queue-depth", "0"], "max_queue_depth"),
+            (["--cache-capacity", "0"], "cache_capacity"),
+            (["--deadline", "-1"], "default_deadline_seconds"),
+            (["--task-timeout", "-1"], "task_timeout_seconds"),
+            (["--max-retries", "-1"], "max_retries"),
+            (["--retry-backoff", "nan"], "retry_backoff_seconds"),
+        ],
+    )
+    def test_bad_setting_is_usage_error(self, flags, field, capsys, monkeypatch):
+        import repro.server
+
+        def must_not_serve(*args, **kwargs):
+            raise AssertionError("serve() reached with invalid options")
+
+        monkeypatch.setattr(repro.server, "serve", must_not_serve)
+        assert main(["serve", *flags]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"repro serve: ServerOptions.{field} must be")
+        assert err.count("\n") == 1 and "Traceback" not in err
 
 
 class TestRunJson:
