@@ -58,7 +58,7 @@ from .core import (
 )
 from .errors import ReproError
 
-__version__ = "3.0.0"
+__version__ = "4.0.0"
 
 __all__ = [
     "Technology",

@@ -3,11 +3,11 @@
 The setup/hold constraints ``t_left - t_right <= bound - M`` form a
 constraint graph (edge ``right -> left`` with weight ``bound - M``); the
 system is feasible at slack ``M`` iff that graph has no negative cycle.
-:mod:`repro.opt.diffconstraints` answers the feasibility question for the
-solver; this module answers the *diagnostic* question — it runs a full
-Bellman-Ford with predecessor tracking so an infeasible system is reported
-as the actual cycle of flip-flops whose constraints contradict each other,
-not as a bare "infeasible" verdict.
+The flow's skew LP answers the feasibility question; this module answers
+the *diagnostic* question — it runs a full Bellman-Ford with predecessor
+tracking so an infeasible system is reported as the actual cycle of
+flip-flops whose constraints contradict each other, not as a bare
+"infeasible" verdict.
 """
 
 from __future__ import annotations
@@ -94,10 +94,10 @@ class SkewConstraintGraph:
         Full Bellman-Ford from a virtual source (distance 0 to every
         node).  If any edge still relaxes after ``n - 1`` passes, walking
         the predecessor chain ``n`` steps lands inside a negative cycle,
-        which is then traced and returned.  ``tol`` defaults to the same
-        relaxation epsilon as the SPFA feasibility oracle in
-        :mod:`repro.opt.diffconstraints`, so the diagnostic verdict and
-        the solver's verdict can never disagree on near-zero cycles.
+        which is then traced and returned.  ``tol`` defaults to the
+        shared :data:`~repro.opt.diffconstraints.RELAXATION_EPS`, so this
+        verdict and the SPFA oracle's its tests compare against can never
+        disagree on near-zero cycles.
         """
         n = len(self._names)
         if n == 0:

@@ -700,8 +700,8 @@ def build_parser() -> argparse.ArgumentParser:
         "serve",
         help="run the flow service (HTTP/JSON, see DESIGN.md section 15)",
         description="Run the flow-as-a-service HTTP server: POST "
-        "/v1/flows, /v1/checks and /v1/tables submit jobs onto a "
-        "wave-scheduled worker pool backed by a digest-keyed result "
+        "/v1/flows, /v1/checks and /v1/tables submit jobs, each run in "
+        "its own worker process, backed by a digest-keyed result "
         "cache; GET /v1/jobs/<id> polls and /v1/jobs/<id>/events "
         "streams progress. Runs until interrupted.",
     )
@@ -709,7 +709,7 @@ def build_parser() -> argparse.ArgumentParser:
     srv.add_argument("--port", type=int, default=8765)
     srv.add_argument(
         "--workers", type=int, default=2, metavar="N",
-        help="worker processes executing jobs (default: 2)",
+        help="worker processes run at once, one per job (default: 2)",
     )
     srv.add_argument(
         "--queue-depth", type=int, default=64, metavar="N",
@@ -725,7 +725,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     srv.add_argument(
         "--task-timeout", type=float, default=0.0, metavar="SECONDS",
-        help="per-attempt wall-clock limit in the worker pool (0 = none)",
+        help="per-attempt wall-clock limit of a job's process (0 = none)",
     )
     srv.add_argument(
         "--max-retries", type=int, default=0, metavar="N",

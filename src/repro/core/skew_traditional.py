@@ -9,8 +9,8 @@ constraints over all sequentially adjacent flip-flop pairs:
                t_i - t_j >= M + t_hold - D_min^ij          (i -> j)
 
 Solvable by LP [4] or graph algorithms [23], [24].  The flow solves the
-LP; the graph formulation, :func:`repro.opt.maximize_slack`, cross-checks
-its optimum in the tests.
+LP; the graph formulation, ``maximize_slack`` in the test oracle
+``tests/oracles/diffconstraints_ref.py``, cross-checks its optimum.
 """
 
 from __future__ import annotations

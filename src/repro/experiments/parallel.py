@@ -9,12 +9,13 @@ the options say otherwise) and waits for the jobs, so every scheduling
 guarantee is the service's:
 
 * **per-task timeouts** — jobs run in waves no larger than the worker
-  count, so each deadline measures the task, not queue time; a task
-  that exceeds it has its whole pool generation torn down and is
-  retried, while innocent wave-mates are requeued without penalty;
+  count, one process per job, so each deadline measures the task, not
+  queue time; a task that exceeds it has its own process killed and is
+  retried, and its wave-mates run on untouched;
 * **bounded retries with exponential backoff** — a crashed (killed
   worker), timed-out, or erroring task is retried up to
-  ``max_retries`` times;
+  ``max_retries`` times, and each failure is charged only to the task
+  whose process failed;
 * **trace merging** — each worker's counters and gauges are folded into
   the collector next to the service's ``server.*`` metrics.
 

@@ -1,12 +1,7 @@
-"""Optimization kernels: LP/ILP facade, min-cost flow, B&B, graphs."""
+"""Optimization kernels: LP/ILP facade, min-cost flow, B&B, skew constraints."""
 
 from .branch_bound import BBResult, branch_and_bound
-from .diffconstraints import (
-    SkewConstraint,
-    check_constraints,
-    maximize_slack,
-    solve_difference_constraints,
-)
+from .diffconstraints import SkewConstraint
 from .lp import LinearProgram, LPSolution
 from .mincostflow import (
     FORBIDDEN_COST,
@@ -29,7 +24,4 @@ __all__ = [
     "BBResult",
     "branch_and_bound",
     "SkewConstraint",
-    "solve_difference_constraints",
-    "maximize_slack",
-    "check_constraints",
 ]

@@ -3,10 +3,11 @@
 The pool is process-global and lazily started: the first dispatch that
 needs ``w`` workers creates (or widens) it, and every later dispatch
 reuses it — a flow iterating the Fig. 3 loop pays thread startup once,
-not once per stage per iteration.  Chunks run on a
-``ThreadPoolExecutor``: the dispatched kernels are NumPy-dominated and
-release the GIL inside ufunc loops, so threads scale without any data
-movement.
+not once per stage per iteration.  A forked child drops the pool it
+inherits, whose threads do not exist there, and starts its own.  Chunks
+run on a ``ThreadPoolExecutor``: the dispatched kernels are
+NumPy-dominated and release the GIL inside ufunc loops, so threads
+scale without any data movement.
 
 Determinism: chunk boundaries depend only on ``(n, chunk_width)``;
 every chunk writes disjoint output slices; completion is awaited in
@@ -16,6 +17,7 @@ deterministically regardless of scheduling.
 
 from __future__ import annotations
 
+import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Callable, Mapping, Sequence
@@ -57,6 +59,18 @@ def _thread_pool(width: int) -> ThreadPoolExecutor:
             )
             _THREAD_POOL_WIDTH = width
         return _THREAD_POOL
+
+
+def _forget_pool_in_child() -> None:
+    """A forked child has none of its parent's pool threads, so a pool it
+    inherited would queue chunks that no thread ever runs: start afresh."""
+    global _POOL_LOCK, _THREAD_POOL, _THREAD_POOL_WIDTH
+    _POOL_LOCK = threading.Lock()
+    _THREAD_POOL, _THREAD_POOL_WIDTH = None, 0
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool_in_child)
 
 
 def shutdown_pools() -> None:

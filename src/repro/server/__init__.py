@@ -3,8 +3,8 @@
 Zero new runtime dependencies: stdlib ``http.server`` transport over the
 :class:`~repro.server.service.FlowService` core, which executes
 :class:`~repro.api.FlowRequest` / :class:`~repro.api.CheckRequest` /
-:class:`~repro.api.TablesRequest` jobs on a wave-scheduled process pool
-(:mod:`repro.server.pool`) and serves identical requests from a sha256
+:class:`~repro.api.TablesRequest` jobs in waves, one process per job
+(:mod:`repro.server.pool`), and serves identical requests from a sha256
 digest-keyed :class:`~repro.server.cache.ResultCache`.  The service is
 the repo's one job scheduler: the parallel table suite
 (:func:`repro.experiments.run_parallel_suite`) runs on it too.

@@ -15,7 +15,8 @@ Endpoints (all under ``/v1``, all JSON):
 * ``GET /v1/jobs/<id>/events?since=N`` — newline-delimited JSON event
   stream (iteration records + state transitions), closed when the job
   reaches a terminal state.  HTTP/1.0 close-delimited: no chunked
-  encoding needed.
+  encoding needed.  ``since`` must be an integer >= 0 (``400``
+  otherwise).
 * ``GET /v1/healthz`` and ``GET /v1/stats``.
 
 Built on ``ThreadingHTTPServer``: one thread per connection, so waiters
@@ -31,7 +32,7 @@ from typing import Any, Mapping
 from urllib.parse import parse_qs, urlparse
 
 from ..api import CheckRequest, FlowRequest, JobState, TablesRequest
-from ..errors import ReproError, SaturatedError, ServerError, UnknownJobError
+from ..errors import ReproError, SaturatedError, UnknownJobError
 from ..obs import NULL_COLLECTOR, Collector
 from .jobs import Request
 from .service import FlowService, ServerOptions
@@ -198,7 +199,11 @@ class _Handler(BaseHTTPRequestHandler):
         self, job_id: str, query: Mapping[str, list[str]]
     ) -> None:
         self.service.jobs.get(job_id)  # 404 before headers go out
-        since = int(query.get("since", ["0"])[0])
+        raw = query.get("since", ["0"])[0]
+        if not (raw.isascii() and raw.isdigit()):
+            self._send_error_json(400, f"since must be an integer >= 0, got {raw!r}")
+            return
+        since = int(raw)
         self.send_response(200)
         self.send_header("Content-Type", "application/x-ndjson")
         self.end_headers()

@@ -1,39 +1,38 @@
-"""Wave-scheduled process-pool execution for the flow service.
+"""One process per task for the flow service.
 
 The process-mode dispatcher of :class:`~repro.server.service.FlowService`
-runs its jobs through :func:`run_wave`, which gives process fan-out
-three guarantees:
+runs its jobs through :func:`run_wave`, which starts one
+``multiprocessing.Process`` per task, each with its own one-way pipe,
+and gives process fan-out three guarantees:
 
+* **exact attribution** — a child that dies is a crash of its own task,
+  and a passed deadline kills that task's child alone: no task is
+  killed, charged or re-run because of a wave-mate;
 * **honest deadlines** — a wave never exceeds the worker count, so every
-  submitted task starts executing immediately and its wall-clock timeout
-  measures the task, not queue time;
-* **hung-worker teardown** — a timeout or worker death abandons the
-  whole pool generation (:func:`drain_pool` terminates anything still
-  alive); tasks that neither finished nor caused the teardown are
-  reported unpenalized so the dispatcher requeues them at the same
-  attempt;
+  task starts executing immediately and its deadline measures the task,
+  not queue time;
 * **bounded exponential backoff** — :func:`backoff_delay` is the one
   formula between retries.
 
-Task functions must be module-level picklable (they run in
-``ProcessPoolExecutor`` workers) and receive the task's ``payload``
-dict.
+Task functions must be module-level picklable (the platform's default
+start method may be ``spawn``) and receive the task's ``payload`` dict.
 """
 
 from __future__ import annotations
 
+import math
+import multiprocessing
 import time
-from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
-from concurrent.futures import TimeoutError as FutureTimeoutError
 from dataclasses import dataclass
+from multiprocessing.connection import Connection, wait
+from multiprocessing.process import BaseProcess
 from typing import Any, Callable, Hashable, Mapping, Sequence
 
 from ..obs import NULL_COLLECTOR, Collector
 
-#: One soft failure: ``(task, kind, message, penalize)``.  ``kind`` is
-#: ``"timeout"``, ``"crash"``, ``"error"``, or ``"aborted"``;
-#: ``penalize`` is False for innocent victims of a torn-down generation.
-WaveFailure = tuple["WaveTask", str, str, bool]
+#: One failed attempt: ``(task, kind, message)``, where ``kind`` is
+#: ``"timeout"``, ``"crash"`` or ``"error"``.
+WaveFailure = tuple["WaveTask", str, str]
 
 
 @dataclass(slots=True)
@@ -58,115 +57,108 @@ def backoff_delay(backoff_seconds: float, attempt: int) -> float:
     return backoff_seconds * 2.0 ** (attempt - 2)
 
 
-def drain_pool(pool: ProcessPoolExecutor) -> None:
-    """Tear a (possibly hung or broken) pool generation down for good.
+def _child(
+    fn: Callable[[Mapping[str, Any]], dict[str, Any]],
+    payload: Mapping[str, Any],
+    conn: Connection,
+) -> None:
+    """Body of one task's process: one ``(status, value)`` reply."""
+    try:
+        reply: tuple[str, Any] = ("ok", fn(payload))
+    except Exception as exc:  # repro: lint-disable=API002 -- fault boundary: a task exception of any type must become a failure record
+        reply = ("error", f"{type(exc).__name__}: {exc}")
+    try:
+        conn.send(reply)
+    except Exception as exc:  # repro: lint-disable=API002 -- a result that cannot be pickled is the task's error, not a crash
+        conn.send(("error", f"{type(exc).__name__}: {exc}"))
 
-    ``shutdown`` alone never kills a hung worker — the interpreter would
-    block on it at exit — so any worker still alive is terminated.
-    ``_processes`` is a CPython implementation detail, stable since 3.7;
-    the getattr guard keeps alternative interpreters merely slower, not
-    broken.
-    """
-    procs = list(getattr(pool, "_processes", {}).values())
-    pool.shutdown(wait=False, cancel_futures=True)
-    for proc in procs:
-        if proc.is_alive():
-            proc.terminate()
-    for proc in procs:
-        proc.join(timeout=5.0)
+
+def _limit(start: float, timeout: float | None, deadline_at: float | None) -> float:
+    """A task's kill instant: its own timeout, or its job's deadline (at
+    least 0.1 s after start), whichever passes first (inf = never)."""
+    limit = math.inf if timeout is None else start + timeout
+    if deadline_at is not None:
+        limit = min(limit, max(start + 0.1, deadline_at))
+    return limit
 
 
 def run_wave(
     fn: Callable[[Mapping[str, Any]], dict[str, Any]],
     wave: Sequence[WaveTask],
     *,
-    workers: int,
     timeout: float | None,
     collector: Collector = NULL_COLLECTOR,
 ) -> tuple[dict[Hashable, dict[str, Any]], list[WaveFailure]]:
-    """One pool generation over at most ``workers`` tasks.
+    """Run ``fn(task.payload)`` for every task, each in its own process.
 
-    Submits ``fn(task.payload)`` for every task on a fresh
-    ``ProcessPoolExecutor``, waits out the shared ``timeout`` (seconds of
-    wall clock for the whole wave — honest because the wave fits the
-    worker count), and returns completed payloads keyed by task key plus
-    the soft failures.  A timeout or worker death abandons the
-    generation: its processes are terminated, already-finished futures
-    are salvaged, and untouched wave-mates come back as unpenalized
-    ``"aborted"`` failures.
+    ``timeout`` is the per-task limit in seconds of wall clock (None =
+    unlimited); a task's job deadline can only shorten it.  Returns the
+    completed payloads keyed by task key plus the failed attempts: an
+    exception in ``fn`` (or an unpicklable result) is ``"error"``, EOF
+    on the task's pipe is ``"crash"``, and a passed limit kills that one
+    process and is ``"timeout"``.  Every child is joined.
     """
     ok: dict[Hashable, dict[str, Any]] = {}
     failed: list[WaveFailure] = []
-    pool = ProcessPoolExecutor(max_workers=max(1, min(workers, len(wave))))
-    broken = False
+    running: dict[Connection, tuple[WaveTask, BaseProcess, float, float]] = {}
     try:
         with collector.span("server.wave", tasks=len(wave)):
-            futures = [(task, pool.submit(fn, task.payload)) for task in wave]
-            deadline = (
-                None if timeout is None else time.monotonic() + timeout
-            )
-            for task, future in futures:
-                if broken:
-                    # The generation is being abandoned; salvage whatever
-                    # already finished.
-                    if future.done():
-                        _collect_done(task, future, ok, failed)
+            for task in wave:
+                reader, writer = multiprocessing.Pipe(duplex=False)
+                # A daemon child is killed, not waited on, by an
+                # interpreter that exits mid-wave.
+                proc = multiprocessing.Process(
+                    target=_child, args=(fn, task.payload, writer), daemon=True
+                )
+                proc.start()
+                # Before the next fork: only the child holds the write end,
+                # so its death is EOF here.
+                writer.close()
+                start = time.monotonic()
+                limit = _limit(start, timeout, task.deadline_at)
+                running[reader] = (task, proc, start, limit)
+            while running:
+                now = time.monotonic()
+                nearest = min(entry[3] for entry in running.values())
+                pause = None if nearest == math.inf else max(0.0, nearest - now)
+                # Every ready pipe is drained before a limit that passed
+                # by `now` is enforced, so an arrived result is never killed.
+                ready = wait(list(running), pause)
+                for conn in [c for c in running if c in ready]:
+                    task, proc, _, _ = running.pop(conn)
+                    try:
+                        status, value = conn.recv()
+                    except (EOFError, OSError):
+                        failed.append((task, "crash", "worker process died"))
                     else:
-                        failed.append((task, "aborted", "", False))
-                    continue
-                try:
-                    remaining = (
-                        None
-                        if deadline is None
-                        else max(0.0, deadline - time.monotonic())
-                    )
-                    ok[task.key] = future.result(timeout=remaining)
-                except FutureTimeoutError:
-                    failed.append(
-                        (
-                            task,
-                            "timeout",
-                            f"exceeded {timeout:.1f}s deadline",
-                            True,
-                        )
-                    )
-                    broken = True
-                except BrokenExecutor:
-                    failed.append(
-                        (task, "crash", "worker process died", True)
-                    )
-                    broken = True
-                except Exception as exc:  # repro: lint-disable=API002 -- fault boundary: a worker exception of any type must become a failure record
-                    failed.append(
-                        (task, "error", f"{type(exc).__name__}: {exc}", True)
-                    )
+                        if status == "ok":
+                            ok[task.key] = value
+                        else:
+                            failed.append((task, "error", value))
+                    _reap(conn, proc)
+                for conn, (task, proc, start, limit) in list(running.items()):
+                    if limit <= now:
+                        del running[conn]
+                        proc.kill()
+                        _reap(conn, proc)
+                        message = f"exceeded {limit - start:.1f}s deadline"
+                        failed.append((task, "timeout", message))
     finally:
-        if broken:
-            drain_pool(pool)
-        else:
-            pool.shutdown(wait=True)
+        for conn, (_, proc, _, _) in running.items():
+            proc.kill()
+            _reap(conn, proc)
     return ok, failed
 
 
-def _collect_done(
-    task: WaveTask,
-    future: Any,
-    ok: dict[Hashable, dict[str, Any]],
-    failed: list[WaveFailure],
-) -> None:
-    """Harvest an already-done future during generation teardown."""
-    try:
-        ok[task.key] = future.result(timeout=0)
-    except BrokenExecutor:
-        failed.append((task, "aborted", "", False))
-    except Exception as exc:  # repro: lint-disable=API002 -- fault boundary: harvested futures surface arbitrary worker exception types
-        failed.append((task, "error", f"{type(exc).__name__}: {exc}", True))
+def _reap(conn: Connection, proc: BaseProcess) -> None:
+    """Close a finished task's pipe and join its process."""
+    conn.close()
+    proc.join()
 
 
 __all__ = [
     "WaveFailure",
     "WaveTask",
     "backoff_delay",
-    "drain_pool",
     "run_wave",
 ]

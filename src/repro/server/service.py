@@ -2,10 +2,11 @@
 
 :class:`FlowService` is the transport-independent core that
 :mod:`repro.server.http` exposes over HTTP.  One dispatcher thread pulls
-queued jobs and runs them in waves on a process pool via
-:func:`repro.server.pool.run_wave`: honest per-wave deadlines,
-hung-worker teardown, bounded exponential-backoff retries.  It is the
-repo's one job scheduler — the parallel table suite
+queued jobs and runs them in waves of at most ``workers`` jobs, one
+process per job, via :func:`repro.server.pool.run_wave`: per-job
+deadlines, each crash or timeout charged to the job that caused it, and
+bounded exponential-backoff retries.  It is the repo's one job
+scheduler — the parallel table suite
 (:func:`repro.experiments.parallel.run_parallel_suite`) submits its
 (circuit x engine) flows to an in-process service and waits for them.
 
@@ -16,7 +17,7 @@ Load shedding has three knobs:
 * **per-request deadline** — ``request.deadline_seconds`` (or the
   server default) bounds a job's total latency; a job still queued past
   its deadline is failed with kind ``"timeout"`` instead of run, and a
-  running wave is clamped to the earliest deadline in it;
+  running job's process is killed when its deadline passes;
 * **worker count** — the wave size, bounding concurrent flows.
 
 The shared :class:`~repro.server.cache.ResultCache` is consulted at
@@ -28,8 +29,8 @@ Execution modes: ``"process"`` (default; crash/timeout isolation,
 post-hoc iteration events from the result history) and ``"inline"``
 (jobs run on the dispatcher thread itself — no isolation or retries,
 but :class:`~repro.core.flow.IterationRecord` events stream live as the
-flow produces them; also the mode for environments where process pools
-are unavailable).  Both modes execute a job through the same
+flow produces them; also the mode for environments where worker
+processes are unavailable).  Both modes execute a job through the same
 :func:`~repro.server.worker.execute_request_payload`, under the same
 intra-run worker budget.
 """
@@ -56,7 +57,7 @@ from .worker import execute_request_payload
 class ServerOptions:
     """Configuration of one :class:`FlowService`."""
 
-    #: Worker processes (and the maximum wave size).
+    #: Job processes run at once (the maximum wave size).
     workers: int = 2
     #: Queued jobs beyond which submits are shed with 503.
     max_queue_depth: int = 64
@@ -174,9 +175,7 @@ class FlowService:
         self.jobs = JobStore(self.options.max_queue_depth)
         self.shed_queue_full = 0
         self.shed_deadline = 0
-        #: Failed attempts by kind (penalized ones only: an innocent
-        #: wave-mate requeued after a teardown is not a failure), and
-        #: attempts requeued for a retry.
+        #: Failed attempts by kind, and attempts requeued for a retry.
         self.crashes = 0
         self.errors = 0
         self.timeouts = 0
@@ -335,7 +334,7 @@ class FlowService:
         )
 
     def _run_jobs(self, wave: list[WaveTask]) -> list[WaveTask]:
-        """Execute one wave; returns tasks to requeue (retries/aborts)."""
+        """Execute one wave; returns the tasks to retry."""
         if self.options.execution == "inline":
             for task in wave:
                 self._run_inline(task)
@@ -344,32 +343,18 @@ class FlowService:
 
     def _run_process_wave(self, wave: list[WaveTask]) -> list[WaveTask]:
         opts = self.options
-        now = time.monotonic()
-        timeout = opts.task_timeout_seconds
-        for task in wave:
-            if task.deadline_at is not None:
-                remaining = max(0.1, task.deadline_at - now)
-                timeout = (
-                    remaining if timeout is None else min(timeout, remaining)
-                )
         ok, failed = run_wave(
             execute_request_payload,
             wave,
-            workers=opts.workers,
-            timeout=timeout,
+            timeout=opts.task_timeout_seconds,
             collector=self.collector,
         )
         for job_id in sorted(ok):
             self._emit_iteration_events(str(job_id), ok[job_id]["response"])
             self._complete(str(job_id), ok[job_id])
         requeue: list[WaveTask] = []
-        for task, kind, message, penalize in failed:
+        for task, kind, message in failed:
             job_id = str(task.key)
-            if not penalize:
-                # Innocent victim of a torn-down generation: requeue at
-                # the same attempt, no backoff.
-                requeue.append(task)
-                continue
             self._count_failure(kind)
             if (
                 kind == "timeout"
@@ -400,7 +385,7 @@ class FlowService:
         return requeue
 
     def _count_failure(self, kind: str) -> None:
-        """Tally one penalized failed attempt by its kind."""
+        """Tally one failed attempt by its kind."""
         if kind == "crash":
             self.crashes += 1
         elif kind == "timeout":

@@ -1,7 +1,7 @@
 """Worker-side job execution (module-level picklable).
 
 :func:`execute_request_payload` is the one function that executes a
-request: the service's process pool and its inline mode run it, and the
+request: the service's job processes and its inline mode run it, and the
 parallel table suite's flows are service jobs too.  It takes the wire
 payload (job kind + serialized request), rebuilds the typed request,
 executes it in-process, and returns a picklable document: the response
@@ -72,7 +72,7 @@ def _maybe_inject_fault(circuit: str, engine: str, attempt: int) -> None:
             continue
         if mode == "crash":
             # A hard exit, skipping interpreter teardown: the parent sees
-            # the same BrokenExecutor a SIGKILLed worker would produce.
+            # the same EOF on the job's pipe a SIGKILLed worker produces.
             os._exit(17)
         elif mode == "hang":
             time.sleep(3600.0)

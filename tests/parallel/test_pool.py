@@ -1,5 +1,7 @@
 """Chunk dispatch: fixed boundaries, bit identity, ordered errors."""
 
+import multiprocessing
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,12 @@ from repro.parallel import (
 @chunk_kernel("tests.pool.affine")
 def _affine(views, lo, hi):
     views["out"][lo:hi] = views["x"][lo:hi] * views["scale"][()] + views["bias"][lo:hi]
+
+
+def _dispatch_in_child() -> None:
+    hits: list[int] = []
+    run_chunk_tasks(lambda lo, hi: hits.append(lo), fixed_chunks(8, 2), jobs=2)
+    assert sorted(hits) == [0, 2, 4, 6]
 
 
 class TestFixedChunks:
@@ -91,6 +99,24 @@ class TestRunChunkTasks:
         # Dispatch works again after a shutdown (pool is lazily rebuilt).
         out = self._run(2)
         assert out.shape == (10_000,)
+
+    @pytest.mark.skipif(
+        "fork" not in multiprocessing.get_all_start_methods(), reason="no fork"
+    )
+    def test_forked_child_dispatches_on_a_pool_of_its_own(self):
+        """A child forked once the pool runs has none of its threads (the
+        flow service forks one per job): chunks queued on the inherited
+        pool would never run."""
+        self._run(2)
+        child = multiprocessing.get_context("fork").Process(
+            target=_dispatch_in_child
+        )
+        child.start()
+        child.join(timeout=30.0)
+        if child.is_alive():
+            child.kill()
+            child.join()
+        assert child.exitcode == 0
 
 
 class TestRunKernelChunks:

@@ -98,6 +98,17 @@ class TestEndpoints:
         tail = list(client.events(status.job_id, since=len(events) - 1))
         assert tail == events[-1:]
 
+    @pytest.mark.parametrize("since", ["abc", "-2"])
+    def test_bad_event_cursor_is_400(self, server, client, first_doc, since):
+        """A cursor that is not an integer >= 0 is refused before any
+        header goes out: not a dropped connection, not a replayed tail."""
+        job_id = client.submit(REQUEST).job_id
+        url = f"{server.url}/v1/jobs/{job_id}/events?since={since}"
+        with pytest.raises(urllib.error.HTTPError) as exc_info:
+            urllib.request.urlopen(url, timeout=10.0)
+        assert exc_info.value.code == 400
+        assert "since must be an integer >= 0" in json.load(exc_info.value)["error"]
+
     def test_status_endpoint_round_trips_schema(self, client, first_doc):
         status = client.submit(REQUEST)
         fetched = client.status(status.job_id)

@@ -170,6 +170,44 @@ class TestProcessExecution:
         assert stats["failures"] == {"crash": 1, "error": 0, "timeout": 0}
         assert stats["retries"] == 1
 
+    def test_crash_is_charged_only_to_the_job_that_crashed(self, monkeypatch):
+        """Only the §VI job's process dies: its §V wave-mate, submitted
+        first into the same wave, completes on its first attempt."""
+        monkeypatch.setenv(FAULT_ENV, "tinyB:ilp:crash")
+        sec5 = FlowRequest(circuit="tinyB", options=FlowOptions(max_iterations=2))
+        sec6 = sec5.replace(options=sec5.options.replace(assignment="ilp"))
+        service = FlowService(ServerOptions(workers=2, max_retries=0))
+        # Both queued before the dispatcher starts: one wave.
+        ids = [service.submit(request).job_id for request in (sec5, sec6)]
+        with service:
+            done, crashed = (service.wait(job_id) for job_id in ids)
+        assert (done.state, done.attempts) == (JobState.DONE, 1)
+        assert crashed.state is JobState.FAILED and crashed.error is not None
+        assert (crashed.error.kind, crashed.error.attempts) == ("crash", 1)
+        assert service.stats()["failures"] == {"crash": 1, "error": 0, "timeout": 0}
+
+    def test_timeout_is_charged_only_to_the_job_whose_deadline_passed(
+        self, monkeypatch
+    ):
+        """A hung job with a short deadline is killed alone: the flow
+        beside it has no deadline, outlasts the hung job's several times
+        over, and completes on its first attempt."""
+        monkeypatch.setenv(FAULT_ENV, "tinyB:flow:hang")
+        flow = FlowRequest(circuit="s15850", options=FlowOptions(max_iterations=2))
+        hung = FlowRequest(
+            circuit="tinyB",
+            options=FlowOptions(max_iterations=2),
+            deadline_seconds=0.25,
+        )
+        service = FlowService(ServerOptions(workers=2, max_retries=0))
+        ids = [service.submit(request).job_id for request in (flow, hung)]
+        with service:
+            done, killed = (service.wait(job_id) for job_id in ids)
+        assert (done.state, done.attempts) == (JobState.DONE, 1)
+        assert killed.state is JobState.FAILED and killed.error is not None
+        assert killed.error.kind == "timeout"
+        assert service.stats()["failures"] == {"crash": 0, "error": 0, "timeout": 1}
+
     def test_check_request_runs_in_worker(self):
         request = CheckRequest(circuit="s27", options=FAST, netlist_only=True)
         with FlowService(ServerOptions(workers=1)) as service:
