@@ -200,10 +200,13 @@ class _Handler(BaseHTTPRequestHandler):
     ) -> None:
         self.service.jobs.get(job_id)  # 404 before headers go out
         raw = query.get("since", ["0"])[0]
-        if not (raw.isascii() and raw.isdigit()):
+        try:
+            since = int(raw)
+        except ValueError:
+            since = -1
+        if since < 0:
             self._send_error_json(400, f"since must be an integer >= 0, got {raw!r}")
             return
-        since = int(raw)
         self.send_response(200)
         self.send_header("Content-Type", "application/x-ndjson")
         self.end_headers()

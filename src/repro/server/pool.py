@@ -73,6 +73,11 @@ def _child(
         conn.send(("error", f"{type(exc).__name__}: {exc}"))
 
 
+#: Longest single wait (s): ``wait`` polls in int milliseconds and
+#: overflows past about 24.8 days, so a far limit takes several waits.
+_MAX_PAUSE = 3600.0
+
+
 def _limit(start: float, timeout: float | None, deadline_at: float | None) -> float:
     """A task's kill instant: its own timeout, or its job's deadline (at
     least 0.1 s after start), whichever passes first (inf = never)."""
@@ -120,7 +125,7 @@ def run_wave(
             while running:
                 now = time.monotonic()
                 nearest = min(entry[3] for entry in running.values())
-                pause = None if nearest == math.inf else max(0.0, nearest - now)
+                pause = min(max(0.0, nearest - now), _MAX_PAUSE)
                 # Every ready pipe is drained before a limit that passed
                 # by `now` is enforced, so an arrived result is never killed.
                 ready = wait(list(running), pause)

@@ -98,7 +98,9 @@ class TestEndpoints:
         tail = list(client.events(status.job_id, since=len(events) - 1))
         assert tail == events[-1:]
 
-    @pytest.mark.parametrize("since", ["abc", "-2"])
+    @pytest.mark.parametrize(
+        "since", ["abc", "-2", pytest.param("9" * 5000, id="5000-digits")]
+    )
     def test_bad_event_cursor_is_400(self, server, client, first_doc, since):
         """A cursor that is not an integer >= 0 is refused before any
         header goes out: not a dropped connection, not a replayed tail."""

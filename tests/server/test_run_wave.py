@@ -74,6 +74,17 @@ def test_job_deadline_shortens_the_limit():
     assert time.monotonic() - start < 10.0
 
 
+def test_far_limit_is_waited_out_in_bounded_pauses():
+    """A limit beyond what one poll() can wait (about 24.8 days) still
+    lets the task run and report."""
+    far = time.monotonic() + 1e9
+    for timeout, deadline_at in ((1e9, None), (None, far)):
+        ok, failed = run_wave(
+            behave, wave("ok", deadline_at=deadline_at), timeout=timeout
+        )
+        assert ok == {0: {"seconds": 0.0, "key": 0}} and failed == []
+
+
 def test_arrived_result_is_drained_before_its_limit_is_enforced(monkeypatch):
     """The first wait oversleeps the limit while the result arrives: the
     next round must collect the result, not kill the finished task."""

@@ -208,6 +208,14 @@ class TestProcessExecution:
         assert killed.error.kind == "timeout"
         assert service.stats()["failures"] == {"crash": 0, "error": 0, "timeout": 1}
 
+    def test_far_deadline_job_completes(self):
+        """A deadline weeks away is waited out in bounded pauses: the
+        dispatcher survives and the job runs to completion."""
+        request = REQUEST.replace(deadline_seconds=1e9)
+        with FlowService(ServerOptions(workers=1)) as service:
+            job = service.wait(service.submit(request).job_id, timeout=120.0)
+            assert (job.state, job.attempts) == (JobState.DONE, 1)
+
     def test_check_request_runs_in_worker(self):
         request = CheckRequest(circuit="s27", options=FAST, netlist_only=True)
         with FlowService(ServerOptions(workers=1)) as service:
