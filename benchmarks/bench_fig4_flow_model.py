@@ -8,9 +8,9 @@ import numpy as np
 import pytest
 
 from repro.experiments import fig4_network_structure, format_table
-from repro.opt import FlowNetwork
 
 from conftest import record_artifact
+from oracles.mincostflow_ref import FlowNetwork
 
 
 @pytest.fixture(scope="module")

@@ -3,11 +3,11 @@
 Two layers live here:
 
 * **Request/response objects** — :class:`FlowRequest`,
-  :class:`CheckRequest`, :class:`TablesRequest`, :class:`FlowResponse`,
-  and :class:`JobStatus` are frozen dataclasses with exact
-  ``to_dict``/``from_dict`` round-trips.  They *are* the wire schema of
-  :mod:`repro.server` (every document carries ``api_version``), and they
-  are simultaneously the canonical in-process calling convention::
+  :class:`CheckRequest`, :class:`FlowResponse`, and :class:`JobStatus`
+  are frozen dataclasses with exact ``to_dict``/``from_dict``
+  round-trips.  They *are* the wire schema of :mod:`repro.server`
+  (every document carries ``api_version``), and they are simultaneously
+  the canonical in-process calling convention::
 
       from repro.api import FlowRequest, run_flow
 
@@ -15,16 +15,20 @@ Two layers live here:
       print(response.result.tapping_improvement, response.request_digest)
 
   Each request exposes a sha256 :meth:`~FlowRequest.digest` over its
-  normalized ``(circuit, FlowOptions, Technology)`` content — the same
-  canonical-JSON recipe as the checkpoint store's ``experiment_key`` —
-  which keys the server's shared result cache: identical requests hit
-  cache instead of recomputing.
+  normalized ``(circuit, FlowOptions, Technology)`` content — through
+  :func:`canonical_digest`, the canonical-JSON recipe the checkpoint
+  store's ``experiment_key`` also hashes through — which keys the
+  server's shared result cache: identical requests hit cache instead of
+  recomputing.  A finished flow has one saved form,
+  ``FlowResult.to_dict()``, which :class:`FlowResponse` embeds.
 
 * **Callable facade** — :func:`run_flow`, :func:`check_design`, and
   :func:`run_tables` each take exactly one request object and nothing
   else, so a named circuit becomes a run along one path whether it is
   called in-process, by the CLI, by the server, or by the parallel
-  table suite.
+  table suite.  :class:`TablesRequest` is the validated argument of
+  :func:`run_tables` only; the tables never ride the wire (the suite's
+  flows do, as service jobs).
 
 A live :class:`~repro.netlist.Circuit` cannot ride the wire schema;
 ``IntegratedFlow`` / ``FlowOptions`` are the class-based surface for
@@ -105,18 +109,6 @@ _EXECUTION_ONLY_OPTION_PATHS: frozenset[str] = frozenset(
 EXECUTION_ONLY_FIELDS: Mapping[str, frozenset[str]] = {
     "flow": frozenset({"deadline_seconds"}) | _EXECUTION_ONLY_OPTION_PATHS,
     "check": frozenset({"deadline_seconds"}) | _EXECUTION_ONLY_OPTION_PATHS,
-    "tables": frozenset(
-        {
-            "deadline_seconds",
-            "parallel",
-            "timeout",
-            "max_retries",
-            "retry_backoff",
-            "checkpoint_dir",
-            "resume",
-        }
-    )
-    | _EXECUTION_ONLY_OPTION_PATHS,
 }
 
 
@@ -149,10 +141,9 @@ def request_digest(document: Mapping[str, Any]) -> str:
 def canonical_digest(payload: Mapping[str, Any]) -> str:
     """sha256 hex digest of ``payload`` as canonical JSON.
 
-    Canonical = sorted keys, minimal separators — the recipe
-    ``repro.experiments.checkpoint.experiment_key`` established for the
-    ``(circuit, FlowOptions, Technology)`` checkpoint keys, kept here so
-    the request digests and the checkpoint digests agree on what
+    Canonical = sorted keys, minimal separators.  The repo's one
+    canonical-JSON recipe: request digests and the checkpoint store's
+    ``experiment_key`` both hash through it, so they agree on what
     "identical configuration" means.
     """
     canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
@@ -204,6 +195,11 @@ def _is_seconds(value: object, *, positive: bool = False) -> bool:
     return math.isfinite(value) and (value > 0 if positive else value >= 0)
 
 
+def _is_deadline(value: object) -> bool:
+    """``value`` is ``None`` (no deadline) or finite seconds ``> 0``."""
+    return value is None or _is_seconds(value, positive=True)
+
+
 def _check_fields(
     owner: object,
     checks: tuple[tuple[str, bool, str], ...],
@@ -229,6 +225,21 @@ def _with_profile_grid(options: FlowOptions, circuit: str) -> FlowOptions:
     if options.ring_grid_side is not None:
         return options
     return options.replace(ring_grid_side=profile_for(circuit).ring_grid_side)
+
+
+def _check_request_fields(request: "FlowRequest | CheckRequest") -> None:
+    """The construction checks every request kind shares."""
+    _check_fields(
+        request,
+        (
+            ("circuit", isinstance(request.circuit, str), "a str"),
+            (
+                "deadline_seconds",
+                _is_deadline(request.deadline_seconds),
+                "None or a finite number > 0",
+            ),
+        ),
+    )
 
 
 # ----------------------------------------------------------------------
@@ -257,6 +268,10 @@ class FlowRequest:
     _KNOWN: ClassVar[frozenset[str]] = frozenset(
         {"api_version", "kind", "circuit", "options", "tech", "deadline_seconds"}
     )
+
+    def __post_init__(self) -> None:
+        """Reject a request no scheduler can honour, naming the field."""
+        _check_request_fields(self)
 
     def replace(self, **changes: Any) -> "FlowRequest":
         """A copy with ``changes`` applied (keyword-only, validated)."""
@@ -296,12 +311,11 @@ class FlowRequest:
     def from_dict(cls, data: Mapping[str, Any]) -> "FlowRequest":
         """Rebuild a request, rejecting version/kind/field mismatches."""
         _require_schema(data, cls.kind, cls._KNOWN, "FlowRequest")
-        deadline = data.get("deadline_seconds")
         return cls(
-            circuit=str(data["circuit"]),
+            circuit=data["circuit"],
             options=FlowOptions.from_dict(data.get("options", {})),
             tech=_tech_from_dict(data.get("tech", {}), "FlowRequest"),
-            deadline_seconds=None if deadline is None else float(deadline),
+            deadline_seconds=data.get("deadline_seconds"),
         )
 
 
@@ -335,6 +349,14 @@ class CheckRequest:
             "deadline_seconds",
         }
     )
+
+    def __post_init__(self) -> None:
+        """Reject a request no scheduler can honour, naming the field."""
+        _check_request_fields(self)
+        _check_fields(
+            self,
+            (("netlist_only", isinstance(self.netlist_only, bool), "a bool"),),
+        )
 
     def replace(self, **changes: Any) -> "CheckRequest":
         return dataclasses.replace(self, **changes)
@@ -371,28 +393,24 @@ class CheckRequest:
             from .analysis.checker import CheckConfig as _CheckConfig
 
             config = _CheckConfig.from_dict(config_doc)
-        deadline = data.get("deadline_seconds")
         return cls(
-            circuit=str(data["circuit"]),
+            circuit=data["circuit"],
             options=FlowOptions.from_dict(data.get("options", {})),
             tech=_tech_from_dict(data.get("tech", {}), "CheckRequest"),
-            netlist_only=bool(data.get("netlist_only", False)),
+            netlist_only=data.get("netlist_only", False),
             config=config,
-            deadline_seconds=None if deadline is None else float(deadline),
+            deadline_seconds=data.get("deadline_seconds"),
         )
 
 
 @dataclasses.dataclass(frozen=True, slots=True, kw_only=True)
 class TablesRequest:
-    """One ``run_tables`` invocation as a value.
+    """One ``run_tables`` invocation as a value, validated at construction.
 
-    The parallel/retry knobs shape *how* the suite executes, not what it
-    computes — serial, parallel, and resumed runs produce byte-identical
-    tables — so they are excluded from the digest and identical table
-    requests share one cache entry regardless of worker count.
+    The suite runs in-process (``repro tables``); with ``parallel >= 1``
+    its (circuit x engine) flows run as :class:`FlowRequest` jobs on an
+    in-process flow service, so only those flows ride the wire schema.
     """
-
-    kind: ClassVar[str] = "tables"
 
     circuits: tuple[str, ...] | None = None
     options: FlowOptions = FlowOptions()
@@ -404,31 +422,17 @@ class TablesRequest:
     retry_backoff: float = 0.5
     checkpoint_dir: str | None = None
     resume: bool = False
-    deadline_seconds: float | None = None
-
-    _KNOWN: ClassVar[frozenset[str]] = frozenset(
-        {
-            "api_version",
-            "kind",
-            "circuits",
-            "options",
-            "tech",
-            "ilp_time_limit",
-            "parallel",
-            "timeout",
-            "max_retries",
-            "retry_backoff",
-            "checkpoint_dir",
-            "resume",
-            "deadline_seconds",
-        }
-    )
 
     def __post_init__(self) -> None:
-        """Reject execution settings no scheduler honours."""
+        """Reject settings no scheduler or solver honours."""
         _check_fields(
             self,
             (
+                (
+                    "ilp_time_limit",
+                    _is_seconds(self.ilp_time_limit),
+                    "a finite number >= 0",
+                ),
                 ("parallel", _is_count(self.parallel, 0), "an integer >= 0"),
                 (
                     "timeout",
@@ -458,53 +462,6 @@ class TablesRequest:
         from .netlist import PROFILE_ORDER
 
         return tuple(PROFILE_ORDER)
-
-    def digest(self) -> str:
-        document = self.to_dict()
-        document["circuits"] = list(self.resolved_circuits())
-        return request_digest(document)
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "api_version": API_VERSION,
-            "kind": self.kind,
-            "circuits": None if self.circuits is None else list(self.circuits),
-            "options": self.options.to_dict(),
-            "tech": dataclasses.asdict(self.tech),
-            "ilp_time_limit": self.ilp_time_limit,
-            "parallel": self.parallel,
-            "timeout": self.timeout,
-            "max_retries": self.max_retries,
-            "retry_backoff": self.retry_backoff,
-            "checkpoint_dir": self.checkpoint_dir,
-            "resume": self.resume,
-            "deadline_seconds": self.deadline_seconds,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "TablesRequest":
-        _require_schema(data, cls.kind, cls._KNOWN, "TablesRequest")
-        circuits = data.get("circuits")
-        timeout = data.get("timeout")
-        checkpoint_dir = data.get("checkpoint_dir")
-        deadline = data.get("deadline_seconds")
-        return cls(
-            circuits=(
-                None if circuits is None else tuple(str(c) for c in circuits)
-            ),
-            options=FlowOptions.from_dict(data.get("options", {})),
-            tech=_tech_from_dict(data.get("tech", {}), "TablesRequest"),
-            ilp_time_limit=float(data.get("ilp_time_limit", 10.0)),
-            parallel=int(data.get("parallel", 0)),
-            timeout=None if timeout is None else float(timeout),
-            max_retries=int(data.get("max_retries", 2)),
-            retry_backoff=float(data.get("retry_backoff", 0.5)),
-            checkpoint_dir=(
-                None if checkpoint_dir is None else str(checkpoint_dir)
-            ),
-            resume=bool(data.get("resume", False)),
-            deadline_seconds=None if deadline is None else float(deadline),
-        )
 
 
 # ----------------------------------------------------------------------
@@ -606,7 +563,7 @@ class JobStatus:
     kind_: ClassVar[str] = "job"
 
     job_id: str
-    kind: str  # "flow" | "check" | "tables"
+    kind: str  # "flow" | "check"
     state: JobState
     request_digest: str
     circuit: str
@@ -762,11 +719,8 @@ class TablesRun:
     recorded failure reason; ``report`` carries the parallel suite's
     retry/timeout/crash statistics (None for serial runs);
     ``stale_checkpoints`` counts checkpoint artifacts that existed for a
-    requested circuit but no longer matched the configuration digest
-    (previously these were dropped silently).
-
-    Serializes with the same versioned ``to_dict``/``from_dict`` shape as
-    :class:`JobStatus`, so a tables run can ride the server wire schema.
+    requested circuit but no longer matched the configuration digest or
+    the checkpoint format version.
     """
 
     tables: dict[str, list[dict[str, object]]]
@@ -777,64 +731,6 @@ class TablesRun:
     @property
     def ok(self) -> bool:
         return not self.failures
-
-    def to_dict(self) -> dict[str, Any]:
-        report_doc = (
-            None if self.report is None else dataclasses.asdict(self.report)
-        )
-        return {
-            "api_version": API_VERSION,
-            "kind": "tables",
-            "tables": self.tables,
-            "failures": dict(self.failures),
-            "stale_checkpoints": self.stale_checkpoints,
-            "report": report_doc,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "TablesRun":
-        _require_schema(
-            data,
-            "tables",
-            frozenset(
-                {
-                    "api_version",
-                    "kind",
-                    "tables",
-                    "failures",
-                    "stale_checkpoints",
-                    "report",
-                }
-            ),
-            "TablesRun",
-        )
-        report_doc = data.get("report")
-        report: "SuiteRunReport | None" = None
-        if report_doc is not None:
-            from .experiments import SuiteRunReport as _SuiteRunReport
-            from .experiments import TaskFailure as _TaskFailure
-
-            report = _SuiteRunReport(
-                completed=tuple(report_doc.get("completed", ())),
-                resumed=tuple(report_doc.get("resumed", ())),
-                failed=tuple(
-                    _TaskFailure(**f) for f in report_doc.get("failed", ())
-                ),
-                retries=int(report_doc.get("retries", 0)),
-                timeouts=int(report_doc.get("timeouts", 0)),
-                crashes=int(report_doc.get("crashes", 0)),
-                seconds=float(report_doc.get("seconds", 0.0)),
-            )
-        return cls(
-            tables={
-                str(k): list(v) for k, v in dict(data["tables"]).items()
-            },
-            failures={
-                str(k): str(v) for k, v in dict(data["failures"]).items()
-            },
-            report=report,
-            stale_checkpoints=int(data.get("stale_checkpoints", 0)),
-        )
 
 
 def run_tables(

@@ -166,13 +166,14 @@ def _options_from_args(args: argparse.Namespace) -> FlowOptions:
 def cmd_run(args: argparse.Namespace) -> int:
     request = FlowRequest(circuit=args.circuit, options=_options_from_args(args))
     result = run_flow(request).result
+    if args.save or args.json:
+        document = json.dumps(result.to_dict(), indent=1, sort_keys=True)
     if args.save:
-        from .io import save_design
-
-        save_design(result, args.save)
-        print(f"design saved to {args.save}")
+        with open(args.save, "w") as fh:
+            print(document, file=fh)
+        print(f"design saved to {args.save}", file=sys.stderr)
     if args.json:
-        print(json.dumps(result.to_dict(), indent=1, sort_keys=True))
+        print(document)
         return 0
     print(f"{args.circuit}: {len(result.assignment.ff_names)} flip-flops, "
           f"{result.array.num_rings} rings at "
@@ -351,27 +352,15 @@ def cmd_serve(args: argparse.Namespace) -> int:
     return ExitCode.OK
 
 
-def _request_from_args(args: argparse.Namespace) -> Any:
-    if args.kind == "tables":
-        circuits = tuple(
-            c.strip() for c in args.circuit.split(",") if c.strip()
-        )
-        return TablesRequest(
-            circuits=circuits or None,
-            deadline_seconds=args.deadline or None,
-        )
+def _request_from_args(args: argparse.Namespace) -> FlowRequest | CheckRequest:
+    request_type = CheckRequest if args.kind == "check" else FlowRequest
     options = _options_from_args(args)
-    if args.kind == "check":
-        return CheckRequest(
+    with _flag_values():
+        return request_type(
             circuit=args.circuit,
             options=options,
             deadline_seconds=args.deadline or None,
         )
-    return FlowRequest(
-        circuit=args.circuit,
-        options=options,
-        deadline_seconds=args.deadline or None,
-    )
 
 
 def cmd_submit(args: argparse.Namespace) -> int:
@@ -518,7 +507,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     run = sub.add_parser("run", help="run the integrated flow on a benchmark")
     run.add_argument("circuit", choices=sorted(ALL_PROFILES))
-    run.add_argument("--save", default="", help="write the design to a JSON file")
+    run.add_argument(
+        "--save", default="", metavar="PATH",
+        help="write the FlowResult document (the --json output) to PATH",
+    )
     run.add_argument("--json", action="store_true",
                      help="print the full FlowResult as JSON instead of text")
     _add_common_flow_args(run)
@@ -700,10 +692,10 @@ def build_parser() -> argparse.ArgumentParser:
         "serve",
         help="run the flow service (HTTP/JSON, see DESIGN.md section 15)",
         description="Run the flow-as-a-service HTTP server: POST "
-        "/v1/flows, /v1/checks and /v1/tables submit jobs, each run in "
-        "its own worker process, backed by a digest-keyed result "
-        "cache; GET /v1/jobs/<id> polls and /v1/jobs/<id>/events "
-        "streams progress. Runs until interrupted.",
+        "/v1/flows and /v1/checks submit jobs, each run in its own "
+        "worker process, backed by a digest-keyed result cache; GET "
+        "/v1/jobs/<id> polls and /v1/jobs/<id>/events streams progress. "
+        "Runs until interrupted.",
     )
     srv.add_argument("--host", default="127.0.0.1")
     srv.add_argument("--port", type=int, default=8765)
@@ -753,17 +745,13 @@ def build_parser() -> argparse.ArgumentParser:
         "submit",
         help="submit a request to a running flow service",
         description="Build a typed request document (FlowRequest / "
-        "CheckRequest / TablesRequest) and POST it to a running "
-        "'repro serve' instance. Exit 0 = submitted (or, with --wait, "
-        "completed), 1 = the server shed or failed the job, 2 = "
-        "unreachable server or usage error.",
+        "CheckRequest) and POST it to a running 'repro serve' instance. "
+        "Exit 0 = submitted (or, with --wait, completed), 1 = the server "
+        "shed or failed the job, 2 = unreachable server or usage error.",
     )
+    submit.add_argument("circuit", help="circuit name")
     submit.add_argument(
-        "circuit",
-        help="circuit name (comma-separated list for --kind tables)",
-    )
-    submit.add_argument(
-        "--kind", choices=["flow", "check", "tables"], default="flow",
+        "--kind", choices=["flow", "check"], default="flow",
         help="request type (default: flow)",
     )
     submit.add_argument(

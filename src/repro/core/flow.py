@@ -257,6 +257,9 @@ class FlowOptions:
 #: eligible; every other field remains result-affecting.
 EXECUTION_ONLY_OPTION_FIELDS: frozenset[str] = frozenset({"jobs"})
 
+#: ``default`` of a key :meth:`FlowResult.from_dict` cannot do without.
+_REQUIRED = object()
+
 
 @dataclass(frozen=True, slots=True)
 class IterationRecord:
@@ -405,14 +408,15 @@ class FlowResult:
         return 1.0 - self.final.total_wirelength / self.base.total_wirelength
 
     def to_dict(self) -> dict[str, Any]:
-        """The result as a JSON-serializable dict (``repro run --json``).
+        """The result as a JSON-serializable dict: the one saved form of
+        a finished flow (``repro run --json`` prints it, ``--save``
+        writes it, the server returns it, and checkpoints store it).
 
         Covers the design decisions (positions, assignment, schedule),
         the per-iteration records including ``finding_counts``, the
         headline improvements, and — when the run was traced — the
         aggregated trace summary.  The document carries everything
-        :meth:`from_dict` needs to rebuild an equivalent result (the
-        checkpoint/resume path of the experiment suite); only
+        :meth:`from_dict` needs to rebuild an equivalent result; only
         ``findings``, ``local_trees``, and the live ``trace`` object are
         lossy.
         """
@@ -501,79 +505,105 @@ class FlowResult:
         solutions, schedule, iteration records, timings, ILP statistics —
         round-trips exactly (JSON floats are shortest-repr and restore
         bit-identical doubles).  ``findings``, ``local_trees``, and
-        ``trace`` do not survive the round trip.
+        ``trace`` do not survive the round trip.  A missing or malformed
+        key raises a :class:`~repro.errors.ReproError` that names it.
         """
         from ..geometry import BBox
         from ..rotary import RingArrayOptions, TappingSolution
 
-        die = data["die"]
-        array = RingArray(
-            BBox(
-                float(die[0]), float(die[1]), float(die[2]), float(die[3])
-            ),
-            int(data["ring_grid_side"]),
-            float(data["period_ps"]),
-            RingArrayOptions(
-                fill_factor=float(data.get("ring_fill_factor", 0.7)),
-                reference_delay=float(data.get("ring_reference_delay", 0.0)),
-            ),
+        def read(
+            key: str, parse: Callable[[Any], Any], default: Any = _REQUIRED
+        ) -> Any:
+            if key not in data:
+                if default is _REQUIRED:
+                    raise ReproError(
+                        f"FlowResult document is missing key {key!r}"
+                    )
+                return default
+            try:
+                return parse(data[key])
+            except (LookupError, TypeError, ValueError, ReproError) as exc:
+                raise ReproError(
+                    f"FlowResult document has a malformed {key!r}: {exc!r}"
+                ) from None
+
+        def points(doc: Mapping[str, Any]) -> dict[str, Point]:
+            return {
+                name: Point(float(x), float(y)) for name, (x, y) in doc.items()
+            }
+
+        die = read("die", lambda d: BBox(*(float(v) for v in d)))
+        period = read("period_ps", float)
+        ring_options = RingArrayOptions(
+            fill_factor=read("ring_fill_factor", float, 0.7),
+            reference_delay=read("ring_reference_delay", float, 0.0),
         )
-        positions = {
-            name: Point(float(x), float(y))
-            for name, (x, y) in data["positions"].items()
-        }
-        initial_positions = {
-            name: Point(float(x), float(y))
-            for name, (x, y) in data.get("initial_positions", {}).items()
-        }
-        ring_of = {name: int(j) for name, j in data["ring_of"].items()}
-        solutions: dict[str, TappingSolution] = {}
-        for name, rec in data["tappings"].items():
-            ring_id = ring_of[name]
-            segment = array[ring_id].segments()[int(rec["segment"])]
-            x = float(rec["x"])
-            solutions[name] = TappingSolution(
-                ring_id=ring_id,
-                segment_index=int(rec["segment"]),
-                x=x,
-                point=segment.point_at(x),
-                wirelength=float(rec["wirelength"]),
-                periods_borrowed=int(rec["periods_borrowed"]),
-                snaked=bool(rec["snaked"]),
-                target_delay=float(rec["target_delay"]),
-            )
+        array = read(
+            "ring_grid_side",
+            lambda side: RingArray(die, int(side), period, ring_options),
+        )
+        ring_of = read(
+            "ring_of", lambda doc: {name: int(j) for name, j in doc.items()}
+        )
+
+        def tappings(doc: Mapping[str, Any]) -> dict[str, TappingSolution]:
+            solutions: dict[str, TappingSolution] = {}
+            for name, rec in doc.items():
+                ring_id = ring_of[name]
+                segment = array[ring_id].segments()[int(rec["segment"])]
+                x = float(rec["x"])
+                solutions[name] = TappingSolution(
+                    ring_id=ring_id,
+                    segment_index=int(rec["segment"]),
+                    x=x,
+                    point=segment.point_at(x),
+                    wirelength=float(rec["wirelength"]),
+                    periods_borrowed=int(rec["periods_borrowed"]),
+                    snaked=bool(rec["snaked"]),
+                    target_delay=float(rec["target_delay"]),
+                )
+            return solutions
+
         assignment = Assignment(
             ff_names=tuple(sorted(ring_of)),
             ring_of=ring_of,
-            solutions=solutions,
+            solutions=read("tappings", tappings),
         )
         schedule = SkewSchedule(
-            targets={
-                name: float(t) for name, t in data["schedule"].items()
-            },
-            slack=float(data.get("schedule_slack_ps", 0.0)),
+            targets=read(
+                "schedule",
+                lambda doc: {name: float(t) for name, t in doc.items()},
+            ),
+            slack=read("schedule_slack_ps", float, 0.0),
         )
-        ilp_raw = data.get("ilp_stats")
-        ilp_stats = (
-            MinMaxCapResult.from_dict(ilp_raw) if ilp_raw is not None else None
+        seconds_algorithm, seconds_placer = read(
+            "seconds",
+            lambda doc: (float(doc["algorithm"]), float(doc["placer"])),
         )
         return cls(
-            circuit_name=str(data["circuit"]),
-            positions=positions,
+            circuit_name=read("circuit", str),
+            positions=read("positions", points),
             assignment=assignment,
             schedule=schedule,
             array=array,
-            base=IterationRecord.from_dict(data["base"]),
-            final=IterationRecord.from_dict(data["final"]),
-            history=tuple(
-                IterationRecord.from_dict(rec) for rec in data["history"]
+            base=read("base", IterationRecord.from_dict),
+            final=read("final", IterationRecord.from_dict),
+            history=read(
+                "history",
+                lambda doc: tuple(IterationRecord.from_dict(rec) for rec in doc),
             ),
-            slack_available=float(data["slack_available_ps"]),
-            slack_guaranteed=float(data["slack_guaranteed_ps"]),
-            seconds_algorithm=float(data["seconds"]["algorithm"]),
-            seconds_placer=float(data["seconds"]["placer"]),
-            ilp_stats=ilp_stats,
-            initial_positions=initial_positions,
+            slack_available=read("slack_available_ps", float),
+            slack_guaranteed=read("slack_guaranteed_ps", float),
+            seconds_algorithm=seconds_algorithm,
+            seconds_placer=seconds_placer,
+            ilp_stats=read(
+                "ilp_stats",
+                lambda doc: (
+                    None if doc is None else MinMaxCapResult.from_dict(doc)
+                ),
+                None,
+            ),
+            initial_positions=read("initial_positions", points, {}),
         )
 
 

@@ -8,34 +8,36 @@ configuration ``(circuit name, FlowOptions, Technology)`` — two suites
 with different options or technologies sharing one checkpoint directory
 can never serve each other stale results.
 
-Everything the table generators read round-trips exactly: JSON floats
-are shortest-repr, so reloading an entry restores bit-identical doubles
-and the regenerated Tables II, VI, and VII are byte-identical to the
+An entry holds the circuit's two ``FlowResult.to_dict()`` documents
+(Section V ``flow`` and Section VI ``ilp``) and nothing else: a load
+rebuilds the experiment through
+:func:`~repro.experiments.runner.assemble_experiment`, the same assembly
+a parallel job's results go through, regenerating the circuit and
+recomputing its clock-tree baseline and power figures.  JSON floats are
+shortest-repr, so the rebuilt results are bit-identical and the
+regenerated Tables II, VI, and VII are byte-identical to the
 uninterrupted run (Tables III-V additionally carry measured CPU-seconds
 columns, which are wall-clock facts of the original run and are restored
-verbatim from the checkpoint).
+verbatim from the stored results).
 """
 
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 import json
 import os
 import tempfile
 from pathlib import Path
-from typing import Any, Mapping
 
-from ..clocktree import PathLengthStats
+from ..api import canonical_digest
 from ..constants import Technology
 from ..core import EXECUTION_ONLY_OPTION_FIELDS, FlowOptions, FlowResult
 from ..errors import ReproError
-from ..netlist import generate_circuit, profile_for
 from ..obs import NULL_COLLECTOR, Collector
-from .runner import CircuitExperiment, PowerBreakdown
+from .runner import CircuitExperiment, assemble_experiment
 
 #: Bumped whenever the serialized layout changes incompatibly.
-CHECKPOINT_FORMAT_VERSION = 1
+CHECKPOINT_FORMAT_VERSION = 2
 
 
 def experiment_key(
@@ -54,72 +56,13 @@ def experiment_key(
     options_doc = options.to_dict()
     for field in sorted(EXECUTION_ONLY_OPTION_FIELDS):
         options_doc.pop(field, None)
-    canonical = json.dumps(
+    return canonical_digest(
         {
             "name": name,
             "options": options_doc,
             "tech": dataclasses.asdict(tech),
-        },
-        sort_keys=True,
-        separators=(",", ":"),
-    )
-    return hashlib.sha256(canonical.encode()).hexdigest()[:20]
-
-
-def serialize_experiment(experiment: CircuitExperiment) -> dict[str, Any]:
-    """The JSON document stored for one completed experiment.
-
-    The circuit and profile are *not* stored — both are regenerated
-    deterministically from the circuit name on load.
-    """
-    paths = experiment.clock_tree_paths
-    return {
-        "circuit": experiment.name,
-        "flow": experiment.flow.to_dict(),
-        "ilp": experiment.ilp.to_dict(),
-        "clock_tree_paths": {
-            "average": paths.average,
-            "maximum": paths.maximum,
-            "minimum": paths.minimum,
-            "num_sinks": paths.num_sinks,
-        },
-        "base_power": _power_to_dict(experiment.base_power),
-        "flow_power": _power_to_dict(experiment.flow_power),
-        "ilp_power": _power_to_dict(experiment.ilp_power),
-    }
-
-
-def deserialize_experiment(doc: Mapping[str, Any]) -> CircuitExperiment:
-    """Rebuild a :class:`CircuitExperiment` from its stored document."""
-    name = str(doc["circuit"])
-    profile = profile_for(name)
-    circuit = generate_circuit(profile)
-    paths = doc["clock_tree_paths"]
-    return CircuitExperiment(
-        profile=profile,
-        circuit=circuit,
-        flow=FlowResult.from_dict(doc["flow"]),
-        ilp=FlowResult.from_dict(doc["ilp"]),
-        clock_tree_paths=PathLengthStats(
-            average=float(paths["average"]),
-            maximum=float(paths["maximum"]),
-            minimum=float(paths["minimum"]),
-            num_sinks=int(paths["num_sinks"]),
-        ),
-        base_power=_power_from_dict(doc["base_power"]),
-        flow_power=_power_from_dict(doc["flow_power"]),
-        ilp_power=_power_from_dict(doc["ilp_power"]),
-    )
-
-
-def _power_to_dict(power: PowerBreakdown) -> dict[str, float]:
-    return {"clock": power.clock, "signal": power.signal}
-
-
-def _power_from_dict(data: Mapping[str, Any]) -> PowerBreakdown:
-    return PowerBreakdown(
-        clock=float(data["clock"]), signal=float(data["signal"])
-    )
+        }
+    )[:20]
 
 
 class CheckpointStore:
@@ -135,8 +78,8 @@ class CheckpointStore:
     Lenient does not mean silent: a miss caused by an artifact that
     exists for the circuit but was written under a *different*
     configuration digest (options or technology changed since it was
-    saved) bumps :attr:`stale_entries` and the
-    ``experiments.checkpoint-stale`` counter on ``collector``, so
+    saved) or checkpoint format version bumps :attr:`stale_entries` and
+    the ``experiments.checkpoint-stale`` counter on ``collector``, so
     ``run_tables`` can report how many checkpoints were ignored instead
     of dropping them invisibly.
     """
@@ -147,7 +90,7 @@ class CheckpointStore:
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
         self.collector = collector
-        #: Digest-mismatched artifacts encountered by :meth:`load`.
+        #: Digest- or version-mismatched artifacts met by :meth:`load`.
         self.stale_entries = 0
 
     # ------------------------------------------------------------------
@@ -164,7 +107,11 @@ class CheckpointStore:
     def load(
         self, name: str, options: FlowOptions, tech: Technology
     ) -> CircuitExperiment | None:
-        """The stored experiment for this exact configuration, or None."""
+        """The stored experiment for this exact configuration, or None.
+
+        An entry of another format version counts as stale, like one
+        written under another configuration digest.
+        """
         path = self.path_for(name, options, tech)
         try:
             doc = json.loads(path.read_text())
@@ -173,13 +120,22 @@ class CheckpointStore:
             return None
         except json.JSONDecodeError:
             return None
-        if doc.get("format_version") != CHECKPOINT_FORMAT_VERSION:
+        if not isinstance(doc, dict):
             return None
-        if doc.get("key") != experiment_key(name, options, tech):
+        if (
+            doc.get("format_version") != CHECKPOINT_FORMAT_VERSION
+            or doc.get("key") != experiment_key(name, options, tech)
+        ):
             self._count_stale(1)
             return None
         try:
-            return deserialize_experiment(doc["experiment"])
+            return assemble_experiment(
+                name,
+                FlowResult.from_dict(doc["flow"]),
+                FlowResult.from_dict(doc["ilp"]),
+                options,
+                tech,
+            )
         except (KeyError, TypeError, ValueError, ReproError):
             return None
 
@@ -215,7 +171,8 @@ class CheckpointStore:
             "format_version": CHECKPOINT_FORMAT_VERSION,
             "circuit": name,
             "key": experiment_key(name, options, tech),
-            "experiment": serialize_experiment(experiment),
+            "flow": experiment.flow.to_dict(),
+            "ilp": experiment.ilp.to_dict(),
         }
         payload = json.dumps(doc, indent=1, sort_keys=True)
         fd, tmp_name = tempfile.mkstemp(

@@ -10,9 +10,10 @@ Three layers of persistence/fault tolerance sit on top of the in-process
 cache:
 
 * an optional :class:`~repro.experiments.checkpoint.CheckpointStore`
-  writes one JSON artifact per completed :class:`CircuitExperiment`
-  (atomically, keyed by a digest of the suite configuration) and serves
-  them back on resume;
+  writes the two flow results of each completed circuit as one JSON
+  artifact (atomically, keyed by a digest of the suite configuration)
+  and serves them back on resume, reassembled by
+  :func:`assemble_experiment`;
 * :meth:`ExperimentSuite.try_run` converts a crashing circuit into a
   recorded failure instead of an exception, which the table generators
   render as annotated partial rows;
@@ -30,7 +31,7 @@ from typing import TYPE_CHECKING, Iterable
 from ..clocktree import PathLengthStats, path_length_stats, synthesize_clock_tree_dme
 from ..constants import DEFAULT_TECHNOLOGY, Technology, frequency_ghz
 from ..errors import ReproError
-from ..core import FlowOptions, FlowResult, IntegratedFlow
+from ..core import FlowOptions, FlowResult, IntegratedFlow, IterationRecord
 from ..netlist import (
     PROFILE_ORDER,
     Circuit,
@@ -92,6 +93,57 @@ class CircuitExperiment:
     @property
     def name(self) -> str:
         return self.profile.name
+
+
+def assemble_experiment(
+    name: str,
+    flow_result: FlowResult,
+    ilp_result: FlowResult,
+    options: FlowOptions,
+    tech: Technology,
+    circuit: Circuit | None = None,
+) -> CircuitExperiment:
+    """One circuit's experiment from its Section V and VI flow results.
+
+    The clock-tree baseline and the power figures are derived here from
+    the two results, so a live result, one a worker returned, and one a
+    checkpoint stored all assemble into the same experiment (every field
+    they read round-trips exactly through ``FlowResult.from_dict``).
+    ``circuit`` is generated from ``name`` when not given.
+    """
+    profile = profile_for(name)
+    if circuit is None:
+        circuit = generate_circuit(profile)
+
+    # Conventional clock-tree baseline over the flip-flop locations
+    # of the clock-oblivious *initial* placement — the paper's "for
+    # reference" comparison.  Using the final flow placement here
+    # would let the baseline drift with the iteration count.
+    reference = flow_result.initial_positions or flow_result.positions
+    ff_positions = {ff.name: reference[ff.name] for ff in circuit.flip_flops}
+    tree = synthesize_clock_tree_dme(ff_positions, tech)
+
+    freq = frequency_ghz(options.period)
+    n_ff = len(circuit.flip_flops)
+
+    def power(record: IterationRecord) -> PowerBreakdown:
+        return PowerBreakdown(
+            clock=clock_power_mw(record.tapping_wirelength, n_ff, freq, tech),
+            signal=signal_power_mw(
+                circuit, record.signal_wirelength, freq, tech
+            ),
+        )
+
+    return CircuitExperiment(
+        profile=profile,
+        circuit=circuit,
+        flow=flow_result,
+        ilp=ilp_result,
+        clock_tree_paths=path_length_stats(tree),
+        base_power=power(flow_result.base),
+        flow_power=power(flow_result.final),
+        ilp_power=power(ilp_result.final),
+    )
 
 
 class ExperimentSuite:
@@ -201,53 +253,11 @@ class ExperimentSuite:
 
         The serial path calls this with live :class:`FlowResult` objects
         and the circuit it ran them on; the parallel suite calls it with
-        results deserialized from its workers, and the circuit is
-        generated here.  Both produce identical experiments because every
-        field the metrics read round-trips exactly.
+        results deserialized from its workers.  Both go through
+        :func:`assemble_experiment`, as a checkpoint load does.
         """
-        profile = profile_for(name)
-        if circuit is None:
-            circuit = generate_circuit(profile)
-
-        # Conventional clock-tree baseline over the flip-flop locations
-        # of the clock-oblivious *initial* placement — the paper's "for
-        # reference" comparison.  Using the final flow placement here
-        # would let the baseline drift with the iteration count.
-        reference = flow_result.initial_positions or flow_result.positions
-        ff_positions = {
-            ff.name: reference[ff.name] for ff in circuit.flip_flops
-        }
-        tree = synthesize_clock_tree_dme(ff_positions, self.tech)
-        paths = path_length_stats(tree)
-
-        flow_opts = self.options_for(name, "flow")
-        freq = frequency_ghz(flow_opts.period)
-        n_ff = len(circuit.flip_flops)
-
-        def power(tap_wl: float, sig_wl: float) -> PowerBreakdown:
-            return PowerBreakdown(
-                clock=clock_power_mw(tap_wl, n_ff, freq, self.tech),
-                signal=signal_power_mw(circuit, sig_wl, freq, self.tech),
-            )
-
-        experiment = CircuitExperiment(
-            profile=profile,
-            circuit=circuit,
-            flow=flow_result,
-            ilp=ilp_result,
-            clock_tree_paths=paths,
-            base_power=power(
-                flow_result.base.tapping_wirelength,
-                flow_result.base.signal_wirelength,
-            ),
-            flow_power=power(
-                flow_result.final.tapping_wirelength,
-                flow_result.final.signal_wirelength,
-            ),
-            ilp_power=power(
-                ilp_result.final.tapping_wirelength,
-                ilp_result.final.signal_wirelength,
-            ),
+        experiment = assemble_experiment(
+            name, flow_result, ilp_result, self.options, self.tech, circuit
         )
         self._cache[name] = experiment
         self.failures.pop(name, None)

@@ -2,12 +2,13 @@
 
 Zero new runtime dependencies: stdlib ``http.server`` transport over the
 :class:`~repro.server.service.FlowService` core, which executes
-:class:`~repro.api.FlowRequest` / :class:`~repro.api.CheckRequest` /
-:class:`~repro.api.TablesRequest` jobs in waves, one process per job
-(:mod:`repro.server.pool`), and serves identical requests from a sha256
-digest-keyed :class:`~repro.server.cache.ResultCache`.  The service is
-the repo's one job scheduler: the parallel table suite
-(:func:`repro.experiments.run_parallel_suite`) runs on it too.
+:class:`~repro.api.FlowRequest` and :class:`~repro.api.CheckRequest`
+jobs in waves, one process per job (:mod:`repro.server.pool`), and
+serves identical requests from a sha256 digest-keyed
+:class:`~repro.server.cache.ResultCache`.  The service runs flows and
+checks only; it is the repo's one job scheduler, and the parallel table
+suite (:func:`repro.experiments.run_parallel_suite`, behind ``repro
+tables --parallel N``) submits its flows to it too.
 
 Quickstart::
 

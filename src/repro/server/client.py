@@ -20,7 +20,7 @@ from ..api import JobStatus
 from ..errors import SaturatedError, ServerError
 from .jobs import Request
 
-_PATHS = {"flow": "flows", "check": "checks", "tables": "tables"}
+_PATHS = {"flow": "flows", "check": "checks"}
 
 
 class ServerClient:

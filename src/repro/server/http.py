@@ -2,9 +2,9 @@
 
 Endpoints (all under ``/v1``, all JSON):
 
-* ``POST /v1/flows`` / ``/v1/checks`` / ``/v1/tables`` — submit a
-  request document (:class:`repro.api.FlowRequest` et al.).  Returns
-  ``202`` with the :class:`~repro.api.JobStatus` document; with
+* ``POST /v1/flows`` / ``/v1/checks`` — submit a request document
+  (:class:`repro.api.FlowRequest` / :class:`repro.api.CheckRequest`).
+  Returns ``202`` with the :class:`~repro.api.JobStatus` document; with
   ``?wait=1`` blocks until the job is terminal and returns ``200`` with
   the result document (or ``503 + Retry-After`` when the request's
   deadline passes first, ``500`` with the status document on failure).
@@ -31,7 +31,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Mapping
 from urllib.parse import parse_qs, urlparse
 
-from ..api import CheckRequest, FlowRequest, JobState, TablesRequest
+from ..api import CheckRequest, FlowRequest, JobState
 from ..errors import ReproError, SaturatedError, UnknownJobError
 from ..obs import NULL_COLLECTOR, Collector
 from .jobs import Request
@@ -40,7 +40,6 @@ from .service import FlowService, ServerOptions
 _REQUEST_TYPES: dict[str, type[Request]] = {
     "flows": FlowRequest,
     "checks": CheckRequest,
-    "tables": TablesRequest,
 }
 
 

@@ -16,10 +16,10 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Union
 
-from ..api import CheckRequest, FlowRequest, JobError, JobState, JobStatus, TablesRequest
+from ..api import CheckRequest, FlowRequest, JobError, JobState, JobStatus
 from ..errors import SaturatedError, UnknownJobError
 
-Request = Union[FlowRequest, CheckRequest, TablesRequest]
+Request = Union[FlowRequest, CheckRequest]
 
 
 @dataclass(slots=True)

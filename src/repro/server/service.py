@@ -43,7 +43,14 @@ import time
 from dataclasses import dataclass
 from typing import Any, Literal, Mapping
 
-from ..api import JobError, JobState, _check_fields, _is_count, _is_seconds
+from ..api import (
+    JobError,
+    JobState,
+    _check_fields,
+    _is_count,
+    _is_deadline,
+    _is_seconds,
+)
 from ..core import IterationRecord
 from ..errors import ServerError
 from ..obs import NULL_COLLECTOR, Collector
@@ -137,11 +144,6 @@ class ServerOptions:
         )
 
 
-def _is_deadline(value: float | None) -> bool:
-    """``value`` is ``None`` (no deadline) or finite seconds ``> 0``."""
-    return value is None or _is_seconds(value, positive=True)
-
-
 def _budget_intra_jobs(options: ServerOptions) -> int:
     """Per-job intra-run worker budget for this service configuration.
 
@@ -159,7 +161,7 @@ def _budget_intra_jobs(options: ServerOptions) -> int:
 
 
 class FlowService:
-    """Digest-cached async execution of flow/check/tables requests."""
+    """Digest-cached async execution of flow and check requests."""
 
     def __init__(
         self,
@@ -223,7 +225,7 @@ class FlowService:
         """
         kind = type(request).kind
         digest = request.digest()
-        circuit = getattr(request, "circuit", "") or "-"
+        circuit = request.circuit or "-"
         self.collector.count("server.requests")
         self.collector.count(f"server.requests.{kind}")
         cached_doc = self.cache.get(digest)

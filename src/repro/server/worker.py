@@ -15,11 +15,11 @@ variable injects worker faults: a comma-separated list of
 (hard ``os._exit``, indistinguishable from a kill), ``hang`` (sleep
 until the timeout fires), or ``error`` (raise), and ``*`` matches any
 circuit/engine.  The engine slot is the assignment engine (``flow`` or
-``ilp``) of a flow job and the job kind (``check`` or ``tables``) of any
-other job, so ``tinyB:ilp:crash`` kills every §VI task of a parallel
-table suite and ``s27:flow:crash:1`` crashes the first attempt of a
-server flow job.  Faults fire only while ``attempt <= max_attempt``
-(default: always), so a ``...:1`` spec exercises the retry path.
+``ilp``) of a flow job and ``check`` for a check job, so
+``tinyB:ilp:crash`` kills every §VI task of a parallel table suite and
+``s27:flow:crash:1`` crashes the first attempt of a server flow job.
+Faults fire only while ``attempt <= max_attempt`` (default: always), so
+a ``...:1`` spec exercises the retry path.
 """
 
 from __future__ import annotations
@@ -31,15 +31,7 @@ from typing import Any, Callable, Mapping
 
 from ..analysis import render_json
 from ..analysis.checker import CheckConfig
-from ..api import (
-    API_VERSION,
-    CheckRequest,
-    FlowRequest,
-    TablesRequest,
-    check_design,
-    run_flow,
-    run_tables,
-)
+from ..api import API_VERSION, CheckRequest, FlowRequest, check_design, run_flow
 from ..core import IterationRecord
 from ..errors import ServerError
 from ..obs import TraceCollector
@@ -51,7 +43,6 @@ FAULT_ENV = "REPRO_EXPERIMENTS_FAULT"
 _REQUEST_TYPES: dict[str, type[Request]] = {
     "flow": FlowRequest,
     "check": CheckRequest,
-    "tables": TablesRequest,
 }
 
 
@@ -131,7 +122,7 @@ def execute_request_payload(
         request_type.from_dict(payload["request"]), payload.get("intra_jobs")
     )
     _maybe_inject_fault(
-        getattr(request, "circuit", "") or "-",
+        request.circuit or "-",
         request.options.assignment if isinstance(request, FlowRequest) else kind,
         int(payload.get("attempt", 1)),
     )
@@ -142,18 +133,8 @@ def execute_request_payload(
         doc = run_flow(
             request, collector=collector, on_iteration=on_iteration
         ).to_dict()
-    elif isinstance(request, CheckRequest):
-        doc = check_response_doc(request)
     else:
-        # Never nest process pools: the job already runs in a worker, so
-        # the suite executes serially regardless of the request's
-        # parallel knob (the tables themselves are byte-identical).  The
-        # intra-run budget still applies inside each serial experiment.
-        doc = run_tables(
-            request.replace(parallel=0), collector=collector
-        ).to_dict()
-        doc["request_digest"] = request.digest()
-        doc["cached"] = False
+        doc = check_response_doc(request)
     seconds = time.perf_counter() - start
     trace = collector.trace()
     return {

@@ -42,6 +42,15 @@ class TestExperimentKey:
         assert experiment_key("tinyA", OPTS.replace(period=900.0), TECH) != base
         assert experiment_key("tinyB", OPTS, TECH) != base
 
+    def test_pinned_values(self):
+        """Keys (and so checkpoint file names) survive refactors of the
+        hashing code byte for byte."""
+        assert experiment_key("tinyA", OPTS, TECH) == "e8156555ba2bab4521c1"
+        assert (
+            experiment_key("tinyA", FlowOptions(), TECH)
+            == "578842424436e0ab74b6"
+        )
+
     def test_tech_change_invalidates(self):
         base = experiment_key("tinyA", OPTS, TECH)
         other = dataclasses.replace(TECH, unit_resistance=TECH.unit_resistance * 2)
@@ -56,8 +65,13 @@ class TestStore:
         assert path.name.startswith("tinyA-")
         assert store.entries() == [path]
         doc = json.loads(path.read_text())
-        assert doc["format_version"] == CHECKPOINT_FORMAT_VERSION
+        assert doc["format_version"] == CHECKPOINT_FORMAT_VERSION == 2
         assert doc["key"] == experiment_key("tinyA", OPTS, TECH)
+        # The entry is the circuit's two FlowResult documents, nothing else.
+        assert set(doc) == {"format_version", "circuit", "key", "flow", "ilp"}
+        exp = suite.run("tinyA")
+        assert doc["flow"] == exp.flow.to_dict()
+        assert doc["ilp"] == exp.ilp.to_dict()
 
     def test_roundtrip_exact(self, completed_store):
         store, _, exp = completed_store
@@ -86,6 +100,8 @@ class TestStore:
             path.write_text("{not json")
             assert store.load("tinyA", OPTS, TECH) is None
             path.write_text(json.dumps({"format_version": -1}))
+            assert store.load("tinyA", OPTS, TECH) is None
+            path.write_text("[]")
             assert store.load("tinyA", OPTS, TECH) is None
         finally:
             path.write_text(original)
@@ -180,13 +196,32 @@ class TestStaleCounter:
         finally:
             path.write_text(original)
 
-    def test_tables_run_surfaces_stale_count(self, completed_store):
-        from repro.api import TablesRun
+    def test_tables_run_surfaces_stale_count(self, completed_store, tmp_path):
+        """A format-1 entry (written before checkpoints held only the two
+        flow results) is stale: counted, recomputed, and rewritten."""
+        from repro.api import TablesRequest, run_tables
 
-        run = TablesRun(tables={}, failures={}, stale_checkpoints=3)
-        doc = run.to_dict()
-        assert doc["stale_checkpoints"] == 3
-        assert TablesRun.from_dict(doc).stale_checkpoints == 3
+        store, _, exp = completed_store
+        doc = json.loads(store.path_for("tinyA", OPTS, TECH).read_text())
+        old = {k: v for k, v in doc.items() if k not in ("flow", "ilp")}
+        old["format_version"] = 1
+        old["experiment"] = {"circuit": "tinyA", "flow": doc["flow"]}
+        path = CheckpointStore(tmp_path).path_for("tinyA", OPTS, TECH)
+        path.write_text(json.dumps(old))
+
+        run = run_tables(
+            TablesRequest(
+                circuits=("tinyA",),
+                options=OPTS,
+                checkpoint_dir=str(tmp_path),
+                resume=True,
+                ilp_time_limit=1.0,
+            )
+        )
+        assert run.ok and run.stale_checkpoints == 1
+        rewritten = json.loads(path.read_text())
+        assert rewritten["format_version"] == CHECKPOINT_FORMAT_VERSION
+        assert rewritten["ilp"]["schedule"] == exp.ilp.to_dict()["schedule"]
 
 
 class TestFlowResultRoundtrip:

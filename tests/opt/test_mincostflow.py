@@ -7,7 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import InfeasibleError, OptimizationError
-from repro.opt import FORBIDDEN_COST, FlowNetwork, solve_transportation
+from repro.opt import FORBIDDEN_COST, solve_transportation
+
+from oracles.mincostflow_ref import FlowNetwork
 
 
 class TestFlowNetwork:

@@ -4,9 +4,9 @@ The library solves the capacitated assignment as a transportation
 problem (:func:`repro.core.assign_min_tapping_cost`).  This builder
 draws the paper's Fig. 4 min-cost-flow network — source → flip-flop →
 candidate ring → target — and solves it with the successive-shortest-
-path kernel :class:`repro.opt.FlowNetwork`.  It is kept only as the
-oracle the assignment tests compare the production engine against:
-both must reach the same optimal total cost.
+path kernel :class:`oracles.mincostflow_ref.FlowNetwork`.  It is kept
+only as the oracle the assignment tests compare the production engine
+against: both must reach the same optimal total cost.
 """
 
 from __future__ import annotations
@@ -18,7 +18,8 @@ import numpy.typing as npt
 
 from repro.core.cost import TappingCostMatrix
 from repro.errors import AssignmentError
-from repro.opt import ArcRef, FlowNetwork
+
+from oracles.mincostflow_ref import ArcRef, FlowNetwork
 
 
 def assign_via_ssp(

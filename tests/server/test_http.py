@@ -16,10 +16,10 @@ import pytest
 
 from repro.api import (
     API_VERSION,
+    CheckRequest,
     FlowRequest,
     JobState,
     JobStatus,
-    TablesRequest,
 )
 from repro.core import FlowOptions
 from repro.errors import SaturatedError, ServerError
@@ -169,12 +169,33 @@ class TestEndpoints:
         assert self._post_doc(server, doc) == 400
 
     @pytest.mark.parametrize(
-        ("field", "value"), [("parallel", -1), ("timeout", -1.0)]
+        ("endpoint", "field", "value"),
+        [
+            ("flows", "deadline_seconds", float("nan")),
+            ("flows", "deadline_seconds", -5),
+            ("flows", "circuit", 27),
+            ("checks", "deadline_seconds", float("nan")),
+            ("checks", "netlist_only", "false"),
+        ],
     )
-    def test_out_of_range_tables_settings_are_400(self, server, field, value):
-        doc = TablesRequest(circuits=("s27",)).to_dict()
+    def test_bad_request_fields_are_400(self, server, endpoint, field, value):
+        request = REQUEST if endpoint == "flows" else CheckRequest(circuit="s27")
+        doc = request.to_dict()
         doc[field] = value
-        assert self._post_doc(server, doc, endpoint="tables") == 400
+        assert self._post_doc(server, doc, endpoint=endpoint) == 400
+
+    def test_tables_endpoint_is_gone(self, server, tmp_path):
+        """The tables suite runs in-process only: a client cannot make
+        the server run it or create a checkpoint directory."""
+        probe = tmp_path / "ckpt_probe"
+        doc = {
+            "api_version": API_VERSION,
+            "kind": "tables",
+            "circuits": ["tinyA"],
+            "checkpoint_dir": str(probe),
+        }
+        assert self._post_doc(server, doc, endpoint="tables?wait=1") == 404
+        assert not probe.exists()
 
     def test_result_before_terminal_is_409(self, server, client):
         # Submit directly to the store, bypassing the dispatcher, so the

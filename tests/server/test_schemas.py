@@ -21,7 +21,6 @@ from repro.api import (
     JobError,
     JobState,
     JobStatus,
-    TablesRequest,
     canonical_digest,
 )
 from repro.core import FlowOptions
@@ -62,21 +61,10 @@ check_requests = st.builds(
     deadline_seconds=st.one_of(st.none(), finite),
 )
 
-tables_requests = st.builds(
-    TablesRequest,
-    circuits=st.one_of(
-        st.none(), st.tuples(circuit_names), st.tuples(circuit_names, circuit_names)
-    ),
-    ilp_time_limit=finite,
-    parallel=st.integers(0, 8),
-    max_retries=st.integers(0, 3),
-    deadline_seconds=st.one_of(st.none(), finite),
-)
-
 job_statuses = st.builds(
     JobStatus,
     job_id=st.from_regex(r"job-[0-9]{8}", fullmatch=True),
-    kind=st.sampled_from(["flow", "check", "tables"]),
+    kind=st.sampled_from(["flow", "check"]),
     state=st.sampled_from(list(JobState)),
     request_digest=st.from_regex(r"[0-9a-f]{64}", fullmatch=True),
     circuit=circuit_names,
@@ -109,12 +97,6 @@ class TestRoundTrips:
     def test_check_request(self, request):
         doc = json.loads(json.dumps(request.to_dict()))
         assert CheckRequest.from_dict(doc) == request
-
-    @settings(max_examples=50)
-    @given(tables_requests)
-    def test_tables_request(self, request):
-        doc = json.loads(json.dumps(request.to_dict()))
-        assert TablesRequest.from_dict(doc) == request
 
     @settings(max_examples=50)
     @given(job_statuses)

@@ -40,13 +40,15 @@ class TestRequestNormalization:
 
 
 class TestTablesRequestValidation:
-    """Execution settings no scheduler honours are rejected at
-    construction, naming field and value (a 400 at ``POST /v1/tables``,
-    a usage error on the command line)."""
+    """Settings no scheduler or solver honours are rejected at
+    construction, naming field and value (a usage error on the command
+    line)."""
 
     @pytest.mark.parametrize(
         ("field", "value"),
         [
+            ("ilp_time_limit", math.nan),
+            ("ilp_time_limit", -1.0),
             ("parallel", -1),
             ("timeout", -1.0),
             ("timeout", math.inf),
@@ -64,11 +66,37 @@ class TestTablesRequestValidation:
         request = repro.TablesRequest(parallel=2, timeout=0.0, retry_backoff=0)
         assert request.timeout == 0.0
 
-    def test_from_dict_validates(self):
-        doc = repro.TablesRequest().to_dict()
-        doc["max_retries"] = -2
-        with pytest.raises(ReproError, match="max_retries"):
-            repro.TablesRequest.from_dict(doc)
+
+class TestRequestValidation:
+    """Flow and check requests reject, at construction and so also in
+    ``from_dict``, what no scheduler can honour."""
+
+    @pytest.mark.parametrize("request_type", [FlowRequest, CheckRequest])
+    @pytest.mark.parametrize(
+        ("field", "value"),
+        [
+            ("circuit", 27),
+            ("deadline_seconds", math.nan),
+            ("deadline_seconds", math.inf),
+            ("deadline_seconds", -5.0),
+            ("deadline_seconds", 0.0),
+            ("deadline_seconds", "5"),
+        ],
+    )
+    def test_bad_field_rejected(self, request_type, field, value):
+        doc = request_type(circuit="s27").to_dict()
+        doc[field] = value
+        match = f"{request_type.__name__}.{field} must be"
+        with pytest.raises(ReproError, match=match):
+            request_type.from_dict(doc)
+        with pytest.raises(ReproError, match=match):
+            request_type(**{"circuit": "s27", field: value})
+
+    def test_netlist_only_must_be_a_bool(self):
+        doc = CheckRequest(circuit="s27").to_dict()
+        doc["netlist_only"] = "false"
+        with pytest.raises(ReproError, match="CheckRequest.netlist_only must be"):
+            CheckRequest.from_dict(doc)
 
 
 class TestFacadeTakesOnlyRequests:

@@ -117,6 +117,22 @@ class TestOptionsFromFlags:
         for field, value in WEIGHTING_OPTIONS.items():
             assert getattr(options, field) == value, field
 
+    def test_bad_submit_deadline_is_usage_error(self, capsys):
+        rc = main(["submit", "s27", "--deadline", "-1",
+                   "--server", "http://127.0.0.1:9"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith(
+            "repro submit: FlowRequest.deadline_seconds must be"
+        )
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+    def test_submit_kind_tables_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc_info:
+            main(["submit", "tinyA", "--kind", "tables"])
+        assert exc_info.value.code == 2
+        assert "invalid choice: 'tables'" in capsys.readouterr().err
+
     def test_sweep_rings_receives_every_flag(self, monkeypatch):
         from repro import cli
 
@@ -270,6 +286,7 @@ class TestTablesCommand:
             (["--parallel", "-1"], "parallel"),
             (["--max-retries", "-1"], "max_retries"),
             (["--retry-backoff", "-0.5"], "retry_backoff"),
+            (["--ilp-time-limit", "nan"], "ilp_time_limit"),
         ],
     )
     def test_bad_execution_flag_is_usage_error(self, flags, field, capsys):

@@ -1,104 +1,117 @@
-"""Tests for JSON design persistence."""
+"""Tests for the saved design document.
 
+``repro run --save PATH`` writes ``FlowResult.to_dict()``, the same
+document ``repro run --json`` prints, and ``FlowResult.from_dict`` is
+its one loader.
+"""
+
+import contextlib
+import io
 import json
 
 import pytest
 
-from repro import FlowOptions, IntegratedFlow
-from repro.errors import ReproError
-from repro.io import FORMAT_VERSION, load_design, save_design
-from repro.netlist import generate_circuit, small_profile
-from repro.rotary import stub_delay
+from repro import FlowResult, run_flow
 from repro.constants import DEFAULT_TECHNOLOGY as TECH
+from repro.errors import ReproError
+from repro.rotary import stub_delay
 
 
 @pytest.fixture(scope="module")
-def flow_result():
-    circuit = generate_circuit(small_profile(num_cells=140, num_flipflops=18, seed=61))
-    return IntegratedFlow(
-        circuit, options=FlowOptions(ring_grid_side=2, max_iterations=1)
-    ).run()
+def saved_run(tmp_path_factory):
+    """``repro run s5378 --iterations 1 --save d.json --json``: the live
+    result, what the command printed, and the text of the saved file."""
+    from repro import cli
+
+    path = tmp_path_factory.mktemp("design") / "d.json"
+    results = []
+
+    def recording_run_flow(request):
+        response = run_flow(request)
+        results.append(response.result)
+        return response
+
+    out = io.StringIO()
+    with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stdout(out):
+        mp.setattr(cli, "run_flow", recording_run_flow)
+        rc = cli.main(
+            ["run", "s5378", "--iterations", "1", "--save", str(path), "--json"]
+        )
+    assert rc == 0
+    return results[0], out.getvalue(), path.read_text()
+
+
+@pytest.fixture(scope="module")
+def loaded(saved_run):
+    _, _, text = saved_run
+    return FlowResult.from_dict(json.loads(text))
 
 
 class TestRoundtrip:
-    def test_save_load_identity(self, flow_result, tmp_path):
-        path = tmp_path / "design.json"
-        save_design(flow_result, path)
-        saved = load_design(path)
-        assert saved.circuit_name == flow_result.circuit_name
-        assert saved.period == flow_result.array.period
-        assert saved.ring_of == flow_result.assignment.ring_of
-        assert saved.schedule == pytest.approx(flow_result.schedule.targets)
-        for name, p in flow_result.positions.items():
-            assert saved.positions[name].manhattan(p) < 1e-9
-        for ff, sol in flow_result.assignment.solutions.items():
-            rec = saved.tappings[ff]
-            assert rec["segment"] == sol.segment_index
-            assert rec["wirelength"] == pytest.approx(sol.wirelength)
+    def test_save_load_identity(self, saved_run, loaded):
+        result, printed, text = saved_run
+        assert text == printed
+        assert loaded.to_dict() == json.loads(text)
+        assert loaded.decision_digest() == result.decision_digest()
+        assert loaded.positions == result.positions
+        assert loaded.assignment.ring_of == result.assignment.ring_of
+        assert loaded.schedule.targets == result.schedule.targets
 
-    def test_ring_array_rebuild(self, flow_result, tmp_path):
-        path = tmp_path / "design.json"
-        save_design(flow_result, path)
-        saved = load_design(path)
-        array = saved.ring_array()
-        assert array.num_rings == flow_result.array.num_rings
-        for rebuilt, original in zip(array, flow_result.array):
-            assert rebuilt.center.manhattan(original.center) < 1e-9
-            assert rebuilt.half_width == pytest.approx(original.half_width)
+    def test_ring_array_rebuild(self, saved_run, loaded):
+        result, _, _ = saved_run
+        assert loaded.array.num_rings == result.array.num_rings
+        for rebuilt, original in zip(loaded.array, result.array):
+            assert rebuilt.center == original.center
+            assert rebuilt.half_width == original.half_width
 
-    def test_saved_tappings_replay_targets(self, flow_result, tmp_path):
+    def test_saved_tappings_replay_targets(self, loaded):
         """Saved tapping records must regenerate the scheduled delays."""
-        path = tmp_path / "design.json"
-        save_design(flow_result, path)
-        saved = load_design(path)
-        array = saved.ring_array()
-        for ff, rec in saved.tappings.items():
-            ring = array[saved.ring_of[ff]]
-            seg = ring.segments()[rec["segment"]]
+        period = loaded.array.period
+        for ff, sol in loaded.assignment.solutions.items():
+            ring = loaded.array[loaded.assignment.ring_of[ff]]
+            seg = ring.segments()[sol.segment_index]
             achieved = (
                 seg.t0
-                - rec["periods_borrowed"] * saved.period
-                + seg.rho * rec["x"]
-                + stub_delay(rec["wirelength"], TECH)
+                - sol.periods_borrowed * period
+                + seg.rho * sol.x
+                + stub_delay(sol.wirelength, TECH)
             )
             assert achieved == pytest.approx(
-                saved.schedule[ff] % saved.period, abs=1e-5
+                loaded.schedule.targets[ff] % period, abs=1e-5
             )
 
-    def test_metrics_recorded(self, flow_result, tmp_path):
-        path = tmp_path / "design.json"
-        save_design(flow_result, path)
-        saved = load_design(path)
-        assert saved.metrics["tapping_wirelength_um"] == pytest.approx(
-            flow_result.final.tapping_wirelength
-        )
+    def test_metrics_recorded(self, saved_run, loaded):
+        result, _, _ = saved_run
+        assert loaded.final == result.final
+        assert loaded.base == result.base
+        assert loaded.slack_guaranteed == result.slack_guaranteed
 
 
 class TestRobustness:
-    def test_missing_file(self, tmp_path):
-        with pytest.raises(ReproError):
-            load_design(tmp_path / "ghost.json")
+    """A damaged document is a typed ReproError that names its key."""
 
-    def test_corrupt_json(self, tmp_path):
-        path = tmp_path / "bad.json"
-        path.write_text("{not json")
-        with pytest.raises(ReproError):
-            load_design(path)
+    def test_missing_keys(self, saved_run):
+        doc = json.loads(saved_run[2])
+        for key in (
+            "circuit", "period_ps", "die", "ring_grid_side", "positions",
+            "ring_of", "tappings", "schedule", "slack_available_ps",
+            "slack_guaranteed_ps", "base", "final", "history", "seconds",
+        ):
+            damaged = {k: v for k, v in doc.items() if k != key}
+            with pytest.raises(ReproError, match=f"missing key '{key}'"):
+                FlowResult.from_dict(damaged)
 
-    def test_wrong_version(self, flow_result, tmp_path):
-        path = tmp_path / "design.json"
-        save_design(flow_result, path)
-        doc = json.loads(path.read_text())
-        doc["format_version"] = FORMAT_VERSION + 1
-        path.write_text(json.dumps(doc))
-        with pytest.raises(ReproError):
-            load_design(path)
-
-    def test_missing_keys(self, flow_result, tmp_path):
-        path = tmp_path / "design.json"
-        save_design(flow_result, path)
-        doc = json.loads(path.read_text())
-        del doc["assignment"]
-        path.write_text(json.dumps(doc))
-        with pytest.raises(ReproError):
-            load_design(path)
+    def test_malformed_key(self, saved_run):
+        doc = json.loads(saved_run[2])
+        ff = next(iter(doc["tappings"]))
+        for key, value in (
+            ("ring_grid_side", "many"),
+            ("ring_grid_side", 0),
+            ("die", [0.0, 0.0]),
+            ("history", [{}]),
+            ("tappings", {ff: {**doc["tappings"][ff], "segment": None}}),
+        ):
+            with pytest.raises(ReproError, match=f"malformed '{key}'"):
+                FlowResult.from_dict({**doc, key: value})
+        with pytest.raises(ReproError, match="missing key"):
+            FlowResult.from_dict([doc])

@@ -22,12 +22,7 @@ from typing import Any
 
 import pytest
 
-from repro.api import (
-    EXECUTION_ONLY_FIELDS,
-    CheckRequest,
-    FlowRequest,
-    TablesRequest,
-)
+from repro.api import EXECUTION_ONLY_FIELDS, CheckRequest, FlowRequest
 from repro.constants import DEFAULT_TECHNOLOGY
 from repro.core import EXECUTION_ONLY_OPTION_FIELDS, FlowOptions
 from repro.experiments.checkpoint import experiment_key
@@ -101,16 +96,6 @@ class TestFlowOptionsFieldsAreResultAffecting:
         assert base.digest() != changed.digest()
 
     @pytest.mark.parametrize("name", RESULT_AFFECTING_FIELDS)
-    def test_tables_request_digest_differs(self, name: str) -> None:
-        base = TablesRequest(circuits=(CIRCUIT,))
-        changed = base.replace(
-            options=base.options.replace(
-                **{name: perturbed_value(name, base.options)}
-            )
-        )
-        assert base.digest() != changed.digest()
-
-    @pytest.mark.parametrize("name", RESULT_AFFECTING_FIELDS)
     def test_experiment_key_differs(self, name: str) -> None:
         options = FlowOptions()
         changed = options.replace(**{name: perturbed_value(name, options)})
@@ -129,19 +114,6 @@ class TestExecutionOnlyFieldsAreExcluded:
     def test_check_deadline_excluded(self) -> None:
         base = CheckRequest(circuit=CIRCUIT)
         assert base.digest() == base.replace(deadline_seconds=5.0).digest()
-
-    def test_tables_execution_knobs_excluded(self) -> None:
-        base = TablesRequest(circuits=(CIRCUIT,))
-        changed = base.replace(
-            parallel=4,
-            timeout=30.0,
-            max_retries=5,
-            retry_backoff=2.0,
-            checkpoint_dir="/tmp/ckpt",
-            resume=True,
-            deadline_seconds=60.0,
-        )
-        assert base.digest() == changed.digest()
 
 
 class TestExecutionOnlyOptionFieldsAreExcluded:
@@ -173,16 +145,6 @@ class TestExecutionOnlyOptionFieldsAreExcluded:
         assert base.digest() == changed.digest()
 
     @pytest.mark.parametrize("name", EXECUTION_ONLY_OPTIONS)
-    def test_tables_request_digest_unchanged(self, name: str) -> None:
-        base = TablesRequest(circuits=(CIRCUIT,))
-        changed = base.replace(
-            options=base.options.replace(
-                **{name: perturbed_value(name, base.options)}
-            )
-        )
-        assert base.digest() == changed.digest()
-
-    @pytest.mark.parametrize("name", EXECUTION_ONLY_OPTIONS)
     def test_experiment_key_unchanged(self, name: str) -> None:
         options = FlowOptions()
         changed = options.replace(**{name: perturbed_value(name, options)})
@@ -206,7 +168,7 @@ class TestClassificationTableIsSound:
 
     @pytest.mark.parametrize(
         ("kind", "request_cls"),
-        [("flow", FlowRequest), ("check", CheckRequest), ("tables", TablesRequest)],
+        [("flow", FlowRequest), ("check", CheckRequest)],
     )
     def test_excluded_fields_exist(self, kind: str, request_cls: type) -> None:
         known = {f.name for f in dataclasses.fields(request_cls)}
