@@ -12,12 +12,11 @@ Speedup gates scale with the machine: >= 2x with at least 2 cores,
 core the timing gate is vacuous and only the identity gates apply.
 
 The ungated ``pair_kernel`` block separates chunk width from
-parallelism.  ``batch_solve_rings`` splits the pairs 512 wide at every
-``jobs``, so the gated jobs=1-vs-N ratio measures the second core
-alone; the block times the cost matrix's candidate pairs at ``jobs=1``
-with 512 and, as a contrast, with the 16384-wide chunks the serial path
-once used, and at ``jobs=N``, in interleaved rounds, and reports each
-configuration's median.
+parallelism.  ``batch_solve_rings`` splits the pairs 16384 wide at
+``jobs=1`` and 512 wide above, so the gated jobs=1-vs-N ratio mixes
+both effects; the block times the cost matrix's candidate pairs at
+``jobs=1`` with both widths and at ``jobs=N``, in interleaved rounds,
+and reports each configuration's median.
 
 Writes ``BENCH_intra.json``::
 
@@ -127,8 +126,8 @@ def time_pair_kernel(jobs: int) -> dict:
     px = np.array([positions[name].x for name in matrix.ff_names])[fid]
     py = np.array([positions[name].y for name in matrix.ff_names])[fid]
     tg = np.array([targets[name] for name in matrix.ff_names])[fid]
-    # batch_solve_rings uses 512 at every jobs; 16384 is the wider
-    # serial chunk it replaced, kept as a contrast.
+    # 16384 and 512 are the widths batch_solve_rings uses at jobs=1 and
+    # jobs > 1 respectively.
     configs = [(1, 16384), (1, 512), (jobs, 512)]
     times: list[list[float]] = [[] for _ in configs]
     payloads: set[bytes] = set()

@@ -506,10 +506,16 @@ class FlowResult:
         round-trips exactly (JSON floats are shortest-repr and restore
         bit-identical doubles).  ``findings``, ``local_trees``, and
         ``trace`` do not survive the round trip.  A missing or malformed
-        key raises a :class:`~repro.errors.ReproError` that names it.
+        key raises a :class:`~repro.errors.ReproError` that names it, as
+        does a document that is not a mapping.
         """
         from ..geometry import BBox
         from ..rotary import RingArrayOptions, TappingSolution
+
+        if not isinstance(data, Mapping):
+            raise ReproError(
+                f"FlowResult document is a {type(data).__name__}, not a mapping"
+            )
 
         def read(
             key: str, parse: Callable[[Any], Any], default: Any = _REQUIRED
@@ -522,7 +528,9 @@ class FlowResult:
                 return default
             try:
                 return parse(data[key])
-            except (LookupError, TypeError, ValueError, ReproError) as exc:
+            except (
+                AttributeError, LookupError, TypeError, ValueError, ReproError
+            ) as exc:
                 raise ReproError(
                     f"FlowResult document has a malformed {key!r}: {exc!r}"
                 ) from None

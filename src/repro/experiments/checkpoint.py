@@ -133,7 +133,6 @@ class CheckpointStore:
                 name,
                 FlowResult.from_dict(doc["flow"]),
                 FlowResult.from_dict(doc["ilp"]),
-                options,
                 tech,
             )
         except (KeyError, TypeError, ValueError, ReproError):

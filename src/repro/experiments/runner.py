@@ -99,16 +99,16 @@ def assemble_experiment(
     name: str,
     flow_result: FlowResult,
     ilp_result: FlowResult,
-    options: FlowOptions,
     tech: Technology,
     circuit: Circuit | None = None,
 ) -> CircuitExperiment:
     """One circuit's experiment from its Section V and VI flow results.
 
-    The clock-tree baseline and the power figures are derived here from
-    the two results, so a live result, one a worker returned, and one a
-    checkpoint stored all assemble into the same experiment (every field
-    they read round-trips exactly through ``FlowResult.from_dict``).
+    The clock-tree baseline and the power figures (at the clock period
+    the results ran at) are derived here from the two results, so a
+    live result, one a worker returned, and one a checkpoint stored all
+    assemble into the same experiment (every field they read
+    round-trips exactly through ``FlowResult.from_dict``).
     ``circuit`` is generated from ``name`` when not given.
     """
     profile = profile_for(name)
@@ -123,7 +123,7 @@ def assemble_experiment(
     ff_positions = {ff.name: reference[ff.name] for ff in circuit.flip_flops}
     tree = synthesize_clock_tree_dme(ff_positions, tech)
 
-    freq = frequency_ghz(options.period)
+    freq = frequency_ghz(flow_result.array.period)
     n_ff = len(circuit.flip_flops)
 
     def power(record: IterationRecord) -> PowerBreakdown:
@@ -257,7 +257,7 @@ class ExperimentSuite:
         :func:`assemble_experiment`, as a checkpoint load does.
         """
         experiment = assemble_experiment(
-            name, flow_result, ilp_result, self.options, self.tech, circuit
+            name, flow_result, ilp_result, self.tech, circuit
         )
         self._cache[name] = experiment
         self.failures.pop(name, None)

@@ -55,15 +55,16 @@ _SNAKE_CANDIDATE = 4
 #: Root-acceptance slack used by the scalar solver (kept identical).
 _ROOT_TOL = 1e-7
 #: Pairs evaluated per kernel invocation by the chunked multi-ring entry
-#: point, at every ``jobs``.  The kernel materializes ~(segments x periods
-#: x candidates) intermediates per pair, so unbounded batches would peak
-#: at hundreds of MB on 100k-cell circuits; chunking is elementwise and
-#: changes nothing.  The width never varies with the worker count, so
-#: chunk boundaries (and hence results) are identical for any ``jobs``.
-#: 512 is faster than 16384 serially too (``benchmarks/bench_intra.py``'s
-#: ``pair_kernel`` block), and splits a scale10k-sized batch into enough
-#: chunks to feed every core.
-_PAIRS_PER_CHUNK = 512
+#: point.  The kernel materializes ~(segments x periods x candidates)
+#: intermediates per pair, so unbounded batches would peak at hundreds of
+#: MB on 100k-cell circuits; chunking is elementwise and changes nothing.
+_PAIRS_PER_CHUNK = 16384
+#: Chunk width when dispatching pairs to the worker pool.  Fixed — it
+#: never varies with the worker count, so chunk boundaries (and hence
+#: results) are identical for any ``jobs``.  Smaller than the serial
+#: width so a scale10k-sized batch still splits into enough chunks to
+#: feed every core.
+_PAIRS_PER_PARALLEL_CHUNK = 512
 
 
 @dataclass(frozen=True, slots=True)
@@ -469,9 +470,10 @@ def batch_solve_rings(
 
     The chunks run through the registered ``tapping.solve-pairs``
     kernel: inline at ``jobs=1``, and on the :mod:`repro.parallel`
-    worker pool for ``jobs > 1``, with the same worker-count-independent
-    chunk width either way.  Each chunk writes disjoint output slices,
-    so results are bit-identical for any ``jobs``.
+    worker pool for ``jobs > 1`` with a fixed (worker-count-independent)
+    chunk width of at most :data:`_PAIRS_PER_PARALLEL_CHUNK`.  Each
+    chunk writes disjoint output slices, so results are bit-identical
+    for any ``jobs``.
     """
     ring_ids = np.asarray(ring_ids, dtype=np.intp)
     px = np.asarray(px, dtype=float)
@@ -523,10 +525,13 @@ def batch_solve_rings(
         "point_x": point_x,
         "point_y": point_y,
     }
+    chunk = pairs_per_chunk
+    if jobs > 1:
+        chunk = min(pairs_per_chunk, _PAIRS_PER_PARALLEL_CHUNK)
     run_kernel_chunks(
         "tapping.solve-pairs",
         views,
-        fixed_chunks(n, pairs_per_chunk),
+        fixed_chunks(n, chunk),
         jobs=jobs,
         collector=collector,
         stage="tapping.pairs",

@@ -103,6 +103,11 @@ class TestStore:
             assert store.load("tinyA", OPTS, TECH) is None
             path.write_text("[]")
             assert store.load("tinyA", OPTS, TECH) is None
+            for damage in ({"positions": []}, {"schedule": 5}):
+                doc = json.loads(original)
+                doc["flow"].update(damage)
+                path.write_text(json.dumps(doc))
+                assert store.load("tinyA", OPTS, TECH) is None
         finally:
             path.write_text(original)
         assert store.load("tinyA", OPTS, TECH) is not None

@@ -110,8 +110,13 @@ class TestRobustness:
             ("die", [0.0, 0.0]),
             ("history", [{}]),
             ("tappings", {ff: {**doc["tappings"][ff], "segment": None}}),
+            ("positions", []),
+            ("ring_of", "x"),
+            ("schedule", 5),
+            ("tappings", []),
         ):
             with pytest.raises(ReproError, match=f"malformed '{key}'"):
                 FlowResult.from_dict({**doc, key: value})
-        with pytest.raises(ReproError, match="missing key"):
-            FlowResult.from_dict([doc])
+        for document in ([doc], "{}", 5):
+            with pytest.raises(ReproError, match="not a mapping"):
+                FlowResult.from_dict(document)
