@@ -506,16 +506,10 @@ class FlowResult:
         round-trips exactly (JSON floats are shortest-repr and restore
         bit-identical doubles).  ``findings``, ``local_trees``, and
         ``trace`` do not survive the round trip.  A missing or malformed
-        key raises a :class:`~repro.errors.ReproError` that names it, as
-        does a document that is not a mapping.
+        key raises a :class:`~repro.errors.ReproError` that names it.
         """
         from ..geometry import BBox
         from ..rotary import RingArrayOptions, TappingSolution
-
-        if not isinstance(data, Mapping):
-            raise ReproError(
-                f"FlowResult document is a {type(data).__name__}, not a mapping"
-            )
 
         def read(
             key: str, parse: Callable[[Any], Any], default: Any = _REQUIRED
