@@ -58,7 +58,7 @@ from .core import (
 )
 from .errors import ReproError
 
-__version__ = "5.0.0"
+__version__ = "6.0.0"
 
 __all__ = [
     "Technology",

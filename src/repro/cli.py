@@ -27,9 +27,10 @@ from __future__ import annotations
 import argparse
 import enum
 import json
+import os
 import sys
-from contextlib import contextmanager
-from typing import Any, Callable, Iterator, Mapping
+from contextlib import contextmanager, nullcontext
+from typing import IO, Any, Callable, Iterator, Mapping
 
 from .api import CheckRequest, FlowRequest, TablesRequest, check_design, run_flow
 from .constants import DEFAULT_TECHNOLOGY, frequency_ghz
@@ -163,14 +164,37 @@ def _options_from_args(args: argparse.Namespace) -> FlowOptions:
     return options
 
 
+@contextmanager
+def _replacing(path: str) -> Iterator[IO[str]]:
+    """A temporary file beside ``path``, moved onto it when the block
+    succeeds and removed when the block raises.  It is opened before the
+    block runs, so an unwritable path fails before any work is done, and
+    a failed run leaves no truncated file."""
+    directory, name = os.path.split(path)
+    tmp = os.path.join(directory, f".{name}.{os.getpid()}.tmp")
+    try:
+        fh = open(tmp, "w")
+    except OSError as exc:
+        # Name the path asked for, not the temporary one.
+        raise OSError(exc.errno, exc.strerror, path) from None
+    try:
+        with fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
 def cmd_run(args: argparse.Namespace) -> int:
     request = FlowRequest(circuit=args.circuit, options=_options_from_args(args))
-    result = run_flow(request).result
-    if args.save or args.json:
-        document = json.dumps(result.to_dict(), indent=1, sort_keys=True)
+    with _replacing(args.save) if args.save else nullcontext() as saved:
+        result = run_flow(request).result
+        if args.save or args.json:
+            document = json.dumps(result.to_dict(), indent=1, sort_keys=True)
+        if saved is not None:
+            print(document, file=saved)
     if args.save:
-        with open(args.save, "w") as fh:
-            print(document, file=fh)
         print(f"design saved to {args.save}", file=sys.stderr)
     if args.json:
         print(document)
@@ -701,7 +725,8 @@ def build_parser() -> argparse.ArgumentParser:
     srv.add_argument("--port", type=int, default=8765)
     srv.add_argument(
         "--workers", type=int, default=2, metavar="N",
-        help="worker processes run at once, one per job (default: 2)",
+        help="worker processes, each running one job at a time and kept "
+        "between jobs (default: 2)",
     )
     srv.add_argument(
         "--queue-depth", type=int, default=64, metavar="N",
@@ -858,8 +883,8 @@ def main(argv: list[str] | None = None) -> int:
         if args.func is cmd_lint:
             print(f"repro lint: {exc}", file=sys.stderr)
             return ExitCode.USAGE
-        if args.func is cmd_profile and isinstance(exc, OSError):
-            print(f"repro profile: {exc}", file=sys.stderr)
+        if args.func in (cmd_profile, cmd_run) and isinstance(exc, OSError):
+            print(f"repro {args.command}: {exc}", file=sys.stderr)
             return ExitCode.USAGE
         if args.func in (cmd_submit, cmd_status) and isinstance(exc, OSError):
             # urllib's URLError is an OSError: the server is unreachable.

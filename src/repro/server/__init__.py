@@ -3,7 +3,8 @@
 Zero new runtime dependencies: stdlib ``http.server`` transport over the
 :class:`~repro.server.service.FlowService` core, which executes
 :class:`~repro.api.FlowRequest` and :class:`~repro.api.CheckRequest`
-jobs in waves, one process per job (:mod:`repro.server.pool`), and
+jobs in waves, each on its own long-lived worker process
+(:mod:`repro.server.pool`), and
 serves identical requests from a sha256 digest-keyed
 :class:`~repro.server.cache.ResultCache`.  The service runs flows and
 checks only; it is the repo's one job scheduler, and the parallel table

@@ -1,27 +1,36 @@
-"""One process per task for the flow service.
+"""Long-lived job processes for the flow service.
 
 The process-mode dispatcher of :class:`~repro.server.service.FlowService`
-runs its jobs through :func:`run_wave`, which starts one
-``multiprocessing.Process`` per task, each with its own one-way pipe,
-and gives process fan-out three guarantees:
+runs its jobs through :func:`run_wave` on a :class:`WorkerPool`.  A
+worker is one ``multiprocessing.Process`` that answers ``(fn, payload)``
+messages on its own duplex pipe, one job at a time, and outlives the
+job.  The pool starts a worker only when a wave finds none idle, and
+replaces one only after its job crashed or was killed at its limit, so
+after the first wave a job pays no fork, no copy-on-write faults of the
+server's heap and no imports its first LP would make.  ``run_wave``
+gives process fan-out four guarantees:
 
-* **exact attribution** — a child that dies is a crash of its own task,
-  and a passed deadline kills that task's child alone: no task is
-  killed, charged or re-run because of a wave-mate;
+* **exact attribution** — a worker runs one task at a time, so a worker
+  that dies is a crash of its own task, and a passed deadline kills
+  that task's worker alone: no task is killed, charged or re-run because
+  of a wave-mate;
 * **honest deadlines** — a wave never exceeds the worker count, so every
   task starts executing immediately and its deadline measures the task,
   not queue time;
+* **clean ownership** — :meth:`WorkerPool.close` stops and joins every
+  worker, and a worker whose parent dies reads EOF and exits;
 * **bounded exponential backoff** — :func:`backoff_delay` is the one
   formula between retries.
 
-Task functions must be module-level picklable (the platform's default
-start method may be ``spawn``) and receive the task's ``payload`` dict.
+Task functions and payloads are pickled into the worker with each
+message, so functions must be module-level.
 """
 
 from __future__ import annotations
 
 import math
 import multiprocessing
+import signal
 import time
 from dataclasses import dataclass
 from multiprocessing.connection import Connection, wait
@@ -57,20 +66,108 @@ def backoff_delay(backoff_seconds: float, attempt: int) -> float:
     return backoff_seconds * 2.0 ** (attempt - 2)
 
 
-def _child(
-    fn: Callable[[Mapping[str, Any]], dict[str, Any]],
-    payload: Mapping[str, Any],
-    conn: Connection,
-) -> None:
-    """Body of one task's process: one ``(status, value)`` reply."""
-    try:
-        reply: tuple[str, Any] = ("ok", fn(payload))
-    except Exception as exc:  # repro: lint-disable=API002 -- fault boundary: a task exception of any type must become a failure record
-        reply = ("error", f"{type(exc).__name__}: {exc}")
-    try:
-        conn.send(reply)
-    except Exception as exc:  # repro: lint-disable=API002 -- a result that cannot be pickled is the task's error, not a crash
-        conn.send(("error", f"{type(exc).__name__}: {exc}"))
+def _child(conn: Connection, inherited: Sequence[Connection]) -> None:
+    """Body of one worker: answer each ``(fn, payload)`` message with one
+    ``(status, value)`` reply, until the stop message (``None``) or EOF."""
+    # Parent ends copied at fork (this worker's own and every older
+    # worker's): closed, so that the parent alone holds them and its
+    # death is EOF in every worker.
+    for end in inherited:
+        end.close()
+    # Ctrl-C reaches the whole process group: outside its task a worker
+    # leaves it to the server, which stops its workers itself.  The task
+    # alone runs with the inherited handler, so a worker the parent has
+    # seen reply is already deaf to it.
+    on_interrupt = signal.signal(signal.SIGINT, signal.SIG_IGN)
+    while True:
+        try:
+            message = conn.recv()
+        except EOFError:
+            return
+        if message is None:
+            return
+        fn, payload = message
+        signal.signal(signal.SIGINT, on_interrupt)
+        try:
+            reply: tuple[str, Any] = ("ok", fn(payload))
+        except Exception as exc:  # repro: lint-disable=API002 -- fault boundary: a task exception of any type must become a failure record
+            reply = ("error", f"{type(exc).__name__}: {exc}")
+        signal.signal(signal.SIGINT, signal.SIG_IGN)
+        try:
+            conn.send(reply)
+        except Exception as exc:  # repro: lint-disable=API002 -- a result that cannot be pickled is the task's error, not a crash
+            conn.send(("error", f"{type(exc).__name__}: {exc}"))
+
+
+@dataclass(slots=True, eq=False)
+class _Worker:
+    proc: BaseProcess
+    #: The parent's end of the worker's duplex pipe.
+    conn: Connection
+
+
+class WorkerPool:
+    """The job processes of one service: started on demand, reused
+    across waves, replaced after a crash or kill, stopped by :meth:`close`.
+
+    Only the thread that runs the waves may use it; :meth:`close` runs
+    after that thread's last wave.
+    """
+
+    def __init__(self, collector: Collector = NULL_COLLECTOR) -> None:
+        self.collector = collector
+        #: Processes started over the pool's life.
+        self.starts = 0
+        self._live: list[_Worker] = []
+        self._idle: list[_Worker] = []
+
+    def take(self) -> _Worker:
+        """An idle worker that is still alive, else a new one."""
+        while self._idle:
+            worker = self._idle.pop()
+            if worker.proc.is_alive():
+                return worker
+            # Died while idle (killed from outside): not a task's fault.
+            self.discard(worker)
+        parent_end, child_end = multiprocessing.Pipe()
+        inherited = [parent_end, *(w.conn for w in self._live)]
+        # A daemon worker is killed, not waited on, by an interpreter
+        # that exits without close().
+        proc = multiprocessing.Process(
+            target=_child, args=(child_end, inherited), daemon=True
+        )
+        proc.start()
+        # Only the worker holds its end, so its death is EOF here.
+        child_end.close()
+        worker = _Worker(proc, parent_end)
+        self._live.append(worker)
+        self.starts += 1
+        self.collector.count("server.worker-starts")
+        return worker
+
+    def release(self, worker: _Worker) -> None:
+        """Return a worker whose task replied to the idle set."""
+        self._idle.append(worker)
+
+    def discard(self, worker: _Worker) -> None:
+        """Kill a worker (crashed, or past its task's limit) and join it."""
+        self._live.remove(worker)
+        worker.proc.kill()
+        worker.conn.close()
+        worker.proc.join()
+
+    def close(self) -> None:
+        """Stop and join every worker."""
+        for worker in self._live:
+            try:
+                worker.conn.send(None)
+            except OSError:
+                pass  # already dead: the join below reaps it
+        for worker in self._live:
+            worker.proc.join()
+            worker.conn.close()
+        self._live.clear()
+        self._idle.clear()
 
 
 #: Longest single wait (s): ``wait`` polls in int milliseconds and
@@ -92,36 +189,35 @@ def run_wave(
     wave: Sequence[WaveTask],
     *,
     timeout: float | None,
+    workers: WorkerPool,
     collector: Collector = NULL_COLLECTOR,
 ) -> tuple[dict[Hashable, dict[str, Any]], list[WaveFailure]]:
-    """Run ``fn(task.payload)`` for every task, each in its own process.
+    """Run ``fn(task.payload)`` for every task, each on its own worker.
 
     ``timeout`` is the per-task limit in seconds of wall clock (None =
     unlimited); a task's job deadline can only shorten it.  Returns the
     completed payloads keyed by task key plus the failed attempts: an
-    exception in ``fn`` (or an unpicklable result) is ``"error"``, EOF
-    on the task's pipe is ``"crash"``, and a passed limit kills that one
-    process and is ``"timeout"``.  Every child is joined.
+    exception in ``fn`` (or an unpicklable result) is ``"error"`` and
+    keeps the worker, EOF on the worker's pipe is ``"crash"``, and a
+    passed limit kills that one worker and is ``"timeout"``.  A crashed
+    or killed worker is joined and leaves ``workers``.
     """
     ok: dict[Hashable, dict[str, Any]] = {}
     failed: list[WaveFailure] = []
-    running: dict[Connection, tuple[WaveTask, BaseProcess, float, float]] = {}
+    running: dict[Connection, tuple[WaveTask, _Worker, float, float]] = {}
     try:
         with collector.span("server.wave", tasks=len(wave)):
             for task in wave:
-                reader, writer = multiprocessing.Pipe(duplex=False)
-                # A daemon child is killed, not waited on, by an
-                # interpreter that exits mid-wave.
-                proc = multiprocessing.Process(
-                    target=_child, args=(fn, task.payload, writer), daemon=True
-                )
-                proc.start()
-                # Before the next fork: only the child holds the write end,
-                # so its death is EOF here.
-                writer.close()
+                worker = workers.take()
+                try:
+                    worker.conn.send((fn, task.payload))
+                except OSError:
+                    workers.discard(worker)
+                    failed.append((task, "crash", "worker process died"))
+                    continue
                 start = time.monotonic()
                 limit = _limit(start, timeout, task.deadline_at)
-                running[reader] = (task, proc, start, limit)
+                running[worker.conn] = (task, worker, start, limit)
             while running:
                 now = time.monotonic()
                 nearest = min(entry[3] for entry in running.values())
@@ -130,40 +226,34 @@ def run_wave(
                 # by `now` is enforced, so an arrived result is never killed.
                 ready = wait(list(running), pause)
                 for conn in [c for c in running if c in ready]:
-                    task, proc, _, _ = running.pop(conn)
+                    task, worker, _, _ = running.pop(conn)
                     try:
                         status, value = conn.recv()
                     except (EOFError, OSError):
+                        workers.discard(worker)
                         failed.append((task, "crash", "worker process died"))
+                        continue
+                    workers.release(worker)
+                    if status == "ok":
+                        ok[task.key] = value
                     else:
-                        if status == "ok":
-                            ok[task.key] = value
-                        else:
-                            failed.append((task, "error", value))
-                    _reap(conn, proc)
-                for conn, (task, proc, start, limit) in list(running.items()):
+                        failed.append((task, "error", value))
+                for conn, (task, worker, start, limit) in list(running.items()):
                     if limit <= now:
                         del running[conn]
-                        proc.kill()
-                        _reap(conn, proc)
+                        workers.discard(worker)
                         message = f"exceeded {limit - start:.1f}s deadline"
                         failed.append((task, "timeout", message))
     finally:
-        for conn, (_, proc, _, _) in running.items():
-            proc.kill()
-            _reap(conn, proc)
+        for _, worker, _, _ in running.values():
+            workers.discard(worker)
     return ok, failed
-
-
-def _reap(conn: Connection, proc: BaseProcess) -> None:
-    """Close a finished task's pipe and join its process."""
-    conn.close()
-    proc.join()
 
 
 __all__ = [
     "WaveFailure",
     "WaveTask",
+    "WorkerPool",
     "backoff_delay",
     "run_wave",
 ]

@@ -2,10 +2,14 @@
 
 :class:`FlowService` is the transport-independent core that
 :mod:`repro.server.http` exposes over HTTP.  One dispatcher thread pulls
-queued jobs and runs them in waves of at most ``workers`` jobs, one
-process per job, via :func:`repro.server.pool.run_wave`: per-job
-deadlines, each crash or timeout charged to the job that caused it, and
-bounded exponential-backoff retries.  It is the repo's one job
+queued jobs and runs them in waves of at most ``workers`` jobs via
+:func:`repro.server.pool.run_wave`, each job on its own long-lived
+worker process of the service's :class:`~repro.server.pool.WorkerPool`:
+per-job deadlines, each crash or timeout charged to the job that caused
+it (and its worker replaced), and bounded exponential-backoff retries.
+The service starts a worker only when a wave finds none idle, never at
+start-up, so it owns at most ``workers`` processes, and :meth:`close`
+stops and joins them.  It is the repo's one job
 scheduler — the parallel table suite
 (:func:`repro.experiments.parallel.run_parallel_suite`) submits its
 (circuit x engine) flows to an in-process service and waits for them.
@@ -17,7 +21,7 @@ Load shedding has three knobs:
 * **per-request deadline** — ``request.deadline_seconds`` (or the
   server default) bounds a job's total latency; a job still queued past
   its deadline is failed with kind ``"timeout"`` instead of run, and a
-  running job's process is killed when its deadline passes;
+  running job's worker is killed (and replaced) when its deadline passes;
 * **worker count** — the wave size, bounding concurrent flows.
 
 The shared :class:`~repro.server.cache.ResultCache` is consulted at
@@ -26,7 +30,8 @@ response document (annotated ``cached: true`` on a copy — the embedded
 result bytes are untouched).
 
 Execution modes: ``"process"`` (default; crash/timeout isolation,
-post-hoc iteration events from the result history) and ``"inline"``
+post-hoc iteration events from the result history, ``worker_starts``
+in :meth:`stats` counting the processes started) and ``"inline"``
 (jobs run on the dispatcher thread itself — no isolation or retries,
 but :class:`~repro.core.flow.IterationRecord` events stream live as the
 flow produces them; also the mode for environments where worker
@@ -56,7 +61,7 @@ from ..errors import ServerError
 from ..obs import NULL_COLLECTOR, Collector
 from .cache import ResultCache
 from .jobs import Job, JobStore, Request
-from .pool import WaveTask, backoff_delay, run_wave
+from .pool import WaveTask, WorkerPool, backoff_delay, run_wave
 from .worker import execute_request_payload
 
 
@@ -64,7 +69,8 @@ from .worker import execute_request_payload
 class ServerOptions:
     """Configuration of one :class:`FlowService`."""
 
-    #: Job processes run at once (the maximum wave size).
+    #: Job processes run at once (the maximum wave size), and the most
+    #: the service keeps alive between waves.
     workers: int = 2
     #: Queued jobs beyond which submits are shed with 503.
     max_queue_depth: int = 64
@@ -182,6 +188,7 @@ class FlowService:
         self.errors = 0
         self.timeouts = 0
         self.retries = 0
+        self._workers = WorkerPool(collector)
         self._stop = threading.Event()
         self._thread: threading.Thread | None = None
 
@@ -198,7 +205,8 @@ class FlowService:
         return self
 
     def close(self) -> None:
-        """Stop the dispatcher (waits for the in-flight wave to land).
+        """Stop the dispatcher (waits for the in-flight wave to land),
+        then stop and join every worker process.
 
         Jobs still queued, or waiting out a retry backoff, are not run.
         """
@@ -207,6 +215,7 @@ class FlowService:
         if self._thread is not None:
             self._thread.join()
             self._thread = None
+        self._workers.close()
 
     def __enter__(self) -> "FlowService":
         return self.start()
@@ -268,6 +277,7 @@ class FlowService:
             },
             "retries": self.retries,
             "workers": self.options.workers,
+            "worker_starts": self._workers.starts,
             "execution": self.options.execution,
             "intra_jobs": self.intra_jobs,
         }
@@ -349,6 +359,7 @@ class FlowService:
             execute_request_payload,
             wave,
             timeout=opts.task_timeout_seconds,
+            workers=self._workers,
             collector=self.collector,
         )
         for job_id in sorted(ok):

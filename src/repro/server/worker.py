@@ -6,8 +6,10 @@ parallel table suite's flows are service jobs too.  It takes the wire
 payload (job kind + serialized request), rebuilds the typed request,
 executes it in-process, and returns a picklable document: the response
 plus the worker's trace counters/gauges, which the parent folds into
-its collector.  Everything a job needs is imported with this module,
-so a worker forked from a server imports nothing per job.
+its collector.  The ``repro`` modules a job needs are imported with
+this module; a worker's first jobs still import what they load lazily
+(the LP solver's ``scipy.optimize`` on the first LP), and the service
+keeps its workers between jobs, so only those first jobs pay for it.
 
 For tests and CI smoke runs, the ``REPRO_EXPERIMENTS_FAULT`` environment
 variable injects worker faults: a comma-separated list of

@@ -12,10 +12,13 @@ them late.
 from __future__ import annotations
 
 import json
+import multiprocessing
 import os
+import signal
 import subprocess
 import sys
 import threading
+import time
 from pathlib import Path
 from typing import Any
 
@@ -169,6 +172,8 @@ class TestProcessExecution:
         stats = service.stats()
         assert stats["failures"] == {"crash": 1, "error": 0, "timeout": 0}
         assert stats["retries"] == 1
+        # The crashed worker was replaced for the retry.
+        assert stats["worker_starts"] == 2
 
     def test_crash_is_charged_only_to_the_job_that_crashed(self, monkeypatch):
         """Only the §VI job's process dies: its §V wave-mate, submitted
@@ -224,6 +229,61 @@ class TestProcessExecution:
         assert job.result_doc["kind"] == "check"
         assert job.result_doc["report"]["design"] == "s27"
         assert "exit_code" in job.result_doc
+
+
+def run_each(options: ServerOptions, requests: list[Any], **kwargs: Any):
+    """Each request as its own job, one after another: the service and
+    the response documents, in request order."""
+    with FlowService(options, **kwargs) as service:
+        docs = [
+            service.result_doc(service.wait(service.submit(r).job_id).job_id)
+            for r in requests
+        ]
+    return service, docs
+
+
+class TestWorkerReuse:
+    """Process mode keeps each worker between jobs: later jobs pay no
+    process start, and a reused worker's results are the inline ones."""
+
+    REQUESTS = [
+        *(
+            FlowRequest(
+                circuit=circuit,
+                options=FlowOptions(assignment=engine, max_iterations=2),
+            )
+            for circuit in ("s27", "tinyA", "tinyB")
+            for engine in ("flow", "ilp")
+        ),
+        *(
+            CheckRequest(circuit=circuit, options=FlowOptions(max_iterations=2))
+            for circuit in ("s27", "tinyA", "tinyB")
+        ),
+    ]
+
+    def test_one_worker_serves_every_cold_job_as_inline_does(self):
+        collector = TraceCollector()
+        service, served = run_each(
+            ServerOptions(workers=1), self.REQUESTS, collector=collector
+        )
+        assert multiprocessing.active_children() == []
+        assert service.stats()["worker_starts"] == 1
+        assert collector.trace().counter("server.worker-starts") == 1
+        inline_service, inline = run_each(
+            ServerOptions(workers=1, execution="inline"), self.REQUESTS
+        )
+        assert inline_service.stats()["worker_starts"] == 0
+        for doc, expected in zip(served, inline):
+            assert not doc["cached"]
+            if doc["kind"] == "flow":
+                assert (
+                    FlowResponse.from_dict(doc).decision_digest()
+                    == FlowResponse.from_dict(expected).decision_digest()
+                )
+            else:
+                assert strip_timing(doc["report"]) == strip_timing(
+                    expected["report"]
+                )
 
 
 class TestOptionsValidation:
@@ -337,9 +397,10 @@ class TestLoadShedding:
 
 
 #: Runs in a fresh interpreter: makes the imports ``repro serve`` makes,
-#: then executes one flow and one check payload the way a forked worker
-#: would, and prints every ``repro`` module the two jobs imported.
-_WORKER_IMPORTS_DRIVER = """
+#: then executes a flow and a check job on s27 the way a worker's first
+#: jobs run, and prints every module (of any package) that a second flow
+#: and check, on tinyA, import after them.
+_WORKER_IMPORTS_SCRIPT = """
 import json
 import sys
 
@@ -350,33 +411,95 @@ from repro.api import CheckRequest, FlowRequest
 from repro.core import FlowOptions
 from repro.server.worker import execute_request_payload
 
-def loaded():
-    return {m for m in sys.modules if m == "repro" or m.startswith("repro.")}
+def jobs(circuit):
+    options = FlowOptions(max_iterations=1, ring_grid_side=2)
+    for kind, request in (
+        ("flow", FlowRequest(circuit=circuit, options=options)),
+        ("check", CheckRequest(circuit=circuit, options=options)),
+    ):
+        execute_request_payload(
+            {"kind": kind, "attempt": 1, "request": request.to_dict()}
+        )
 
-before = loaded()
-options = FlowOptions(max_iterations=1, ring_grid_side=2)
-for kind, request in (
-    ("flow", FlowRequest(circuit="s27", options=options)),
-    ("check", CheckRequest(circuit="s27", options=options)),
-):
-    execute_request_payload(
-        {"kind": kind, "attempt": 1, "request": request.to_dict()}
-    )
-print(json.dumps(sorted(loaded() - before)))
+jobs("s27")
+before = set(sys.modules)
+jobs("tinyA")
+print(json.dumps(sorted(set(sys.modules) - before)))
 """
 
 
-def test_forked_worker_imports_nothing_per_job():
-    """A worker forked from ``repro serve`` already holds every module a
-    flow or check job needs, so no job pays for imports."""
+def _subprocess_env() -> dict[str, str]:
     env = dict(os.environ)
     env["PYTHONPATH"] = str(Path(__file__).resolve().parents[2] / "src")
+    return env
+
+
+def test_reused_worker_imports_nothing_after_its_first_jobs():
+    """A worker's first flow and check import what they need (the LP
+    solver's SciPy modules among them); the worker keeps them, so its
+    later jobs import nothing."""
     proc = subprocess.run(
-        [sys.executable, "-c", _WORKER_IMPORTS_DRIVER],
+        [sys.executable, "-c", _WORKER_IMPORTS_SCRIPT],
         capture_output=True,
         text=True,
-        env=env,
+        env=_subprocess_env(),
         timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout.strip().splitlines()[-1]) == []
+
+
+#: Runs a two-worker service through one two-job wave (the second
+#: worker is forked while the first is alive), prints both worker pids
+#: and SIGKILLs itself, so the service never stops its workers.
+_KILLED_SERVICE_SCRIPT = """
+import multiprocessing
+import os
+import signal
+
+from repro.api import FlowRequest
+from repro.core import FlowOptions
+from repro.server import FlowService, ServerOptions
+
+service = FlowService(ServerOptions(workers=2))
+ids = [
+    service.submit(
+        FlowRequest(circuit="s27", options=FlowOptions(max_iterations=k))
+    ).job_id
+    for k in (1, 2)
+]
+service.start()
+for job_id in ids:
+    assert service.wait(job_id).result_doc is not None
+print(" ".join(str(p.pid) for p in multiprocessing.active_children()), flush=True)
+os.kill(os.getpid(), signal.SIGKILL)
+"""
+
+
+def _running(pid: int) -> bool:
+    """Whether process ``pid`` exists and is not a zombie."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="needs procfs")
+def test_killed_service_leaves_no_worker_running():
+    """A worker reads EOF once the service is gone, even when the service
+    dies without stopping it, and exits."""
+    proc = subprocess.Popen(
+        [sys.executable, "-c", _KILLED_SERVICE_SCRIPT],
+        stdout=subprocess.PIPE,
+        text=True,
+        env=_subprocess_env(),
+    )
+    with proc:
+        pids = [int(pid) for pid in proc.stdout.readline().split()]
+        assert proc.wait(timeout=300) == -signal.SIGKILL
+    assert len(pids) == 2
+    deadline = time.monotonic() + 30.0
+    while any(_running(pid) for pid in pids):
+        assert time.monotonic() < deadline, "a worker outlived its service"
+        time.sleep(0.05)

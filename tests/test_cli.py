@@ -72,6 +72,35 @@ class TestFlowErrors:
         err = capsys.readouterr().err
         assert err == "repro run: LP cost_driven_skew_weighted is infeasible\n"
 
+    def test_unwritable_save_path_is_usage_error_before_the_flow(
+        self, monkeypatch, tmp_path, capsys
+    ):
+        from repro import cli
+
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("the flow ran")
+
+        monkeypatch.setattr(cli, "run_flow", must_not_run)
+        target = tmp_path / "no_such_dir" / "d.json"
+        assert main(["run", "s5378", "--iterations", "1", "--save", str(target)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"repro run: [Errno 2] No such file or directory: '{target}'\n"
+
+    def test_failed_run_leaves_no_saved_file(self, monkeypatch, tmp_path, capsys):
+        from repro import cli
+        from repro.errors import InfeasibleError
+
+        def infeasible(*args, **kwargs):
+            raise InfeasibleError("LP cost_driven_skew_weighted is infeasible")
+
+        monkeypatch.setattr(cli, "run_flow", infeasible)
+        target = tmp_path / "d.json"
+        target.write_text("previous\n")
+        assert main(["run", "s5378", "--iterations", "1", "--save", str(target)]) == 1
+        assert capsys.readouterr().err.startswith("repro run: LP ")
+        assert [p.name for p in tmp_path.iterdir()] == ["d.json"]
+        assert target.read_text() == "previous\n"
+
     def test_check_netlist_only_rejects_bad_period(self, capsys):
         assert main(["check", "s5378", "--netlist-only", "--period", "0"]) == 2
         err = capsys.readouterr().err
