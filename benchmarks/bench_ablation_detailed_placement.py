@@ -26,7 +26,7 @@ _CIRCUIT = generate_circuit(small_profile(num_cells=300, num_flipflops=40, seed=
 def placement_setup():
     region = region_for_circuit(_CIRCUIT, DEFAULT_TECHNOLOGY)
     placer = QuadraticPlacer(_CIRCUIT, region)
-    legal = legalize(placer.place(), region)
+    legal = legalize(*placer.place(), placer.movable, region)
     positions = dict(placer.fixed_positions)
     positions.update(legal.positions)
     return region, positions

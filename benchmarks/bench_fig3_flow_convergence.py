@@ -18,12 +18,13 @@ import pytest
 from repro.constants import DEFAULT_TECHNOLOGY
 from repro.core import FlowOptions, IntegratedFlow, tapping_cost_matrix
 from repro.experiments import fig3_flow_convergence, format_table
-from repro.geometry import BBox, Point
+from repro.geometry import BBox, Point, position_arrays
 from repro.netlist import PROFILES, generate_named
 from repro.obs import NULL_COLLECTOR
 from repro.placement import (
     IncrementalOptions,
     PseudoNet,
+    QuadraticPlacer,
     incremental_place,
     region_for_circuit,
 )
@@ -56,14 +57,13 @@ def test_bench_incremental_placement(benchmark, fig3_artifact, suite, s9234_expe
         for ff, sol in exp.flow.assignment.solutions.items()
     ]
     movable = {c.name for c in exp.circuit.standard_cells}
-    previous = {n: p for n, p in exp.flow.positions.items() if n in movable}
 
     def replace_once():
+        placer = QuadraticPlacer(exp.circuit, region)
         return incremental_place(
-            exp.circuit,
-            region,
-            previous,
-            pseudo,
+            placer,
+            position_arrays(placer.movable, exp.flow.positions),
+            placer.pseudo_net_arrays(pseudo),
             IncrementalOptions(
                 stability_weight=suite.options.stability_weight,
                 pseudo_net_weight=suite.options.pseudo_net_weight,

@@ -25,7 +25,7 @@ def main() -> None:
     circuit = generate_named(name)
     region = region_for_circuit(circuit, tech)
     placer = QuadraticPlacer(circuit, region)
-    legal = legalize(placer.place(), region)
+    legal = legalize(*placer.place(), placer.movable, region)
     positions = dict(placer.fixed_positions)
     positions.update(legal.positions)
     hpwl = signal_wirelength(circuit, positions)

@@ -28,7 +28,9 @@ import argparse
 import enum
 import json
 import os
+import signal
 import sys
+import threading
 from contextlib import contextmanager, nullcontext
 from typing import IO, Any, Callable, Iterator, Mapping
 
@@ -372,7 +374,25 @@ def cmd_serve(args: argparse.Namespace) -> int:
     print(f"repro serve: listening on http://{args.host}:{args.port} "
           f"({options.workers} workers, queue depth "
           f"{options.max_queue_depth}, {options.execution} execution)")
-    serve(args.host, args.port, options=options, collector=TraceCollector())
+
+    def terminate(signum: int, frame: object) -> None:
+        # SIGTERM (``kill``, process managers) takes Ctrl-C's path:
+        # serve() closes the socket and the service, which waits for the
+        # running wave and stops its workers.  A second SIGTERM must not
+        # cut that short.
+        signal.signal(signal.SIGTERM, signal.SIG_IGN)
+        raise KeyboardInterrupt
+
+    # signal.signal works on the main thread only; a caller serving from
+    # another thread stops the server itself.
+    previous = None
+    if threading.current_thread() is threading.main_thread():
+        previous = signal.signal(signal.SIGTERM, terminate)
+    try:
+        serve(args.host, args.port, options=options, collector=TraceCollector())
+    finally:
+        if previous is not None:
+            signal.signal(signal.SIGTERM, previous)
     return ExitCode.OK
 
 
@@ -514,9 +534,9 @@ def cmd_render(args: argparse.Namespace) -> int:
     from .viz import render_flow_svg
 
     request = FlowRequest(circuit=args.circuit, options=_options_from_args(args))
-    result = run_flow(request).result
-    svg = render_flow_svg(result, request.resolve(), show_cells=args.cells)
-    with open(args.output, "w") as fh:
+    with _replacing(args.output) as fh:
+        result = run_flow(request).result
+        svg = render_flow_svg(result, request.resolve(), show_cells=args.cells)
         fh.write(svg)
     print(f"wrote {args.output} ({len(svg)} bytes)")
     return 0
@@ -883,7 +903,9 @@ def main(argv: list[str] | None = None) -> int:
         if args.func is cmd_lint:
             print(f"repro lint: {exc}", file=sys.stderr)
             return ExitCode.USAGE
-        if args.func in (cmd_profile, cmd_run) and isinstance(exc, OSError):
+        if args.func in (cmd_profile, cmd_render, cmd_run) and isinstance(
+            exc, OSError
+        ):
             print(f"repro {args.command}: {exc}", file=sys.stderr)
             return ExitCode.USAGE
         if args.func in (cmd_submit, cmd_status) and isinstance(exc, OSError):

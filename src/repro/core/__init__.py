@@ -19,6 +19,7 @@ from .cost import (
     Assignment,
     TappingCostCache,
     TappingCostMatrix,
+    net_pins,
     realize_assignment,
     signal_wirelength,
     tapping_cost_matrix,
@@ -37,7 +38,7 @@ from .flow import (
     IterationRecord,
 )
 from .skew_cost_driven import (
-    RingAttraction,
+    RingAttractions,
     cost_driven_schedule,
     ring_attractions,
 )
@@ -54,6 +55,7 @@ __all__ = [
     "tapping_cost_matrix",
     "Assignment",
     "realize_assignment",
+    "net_pins",
     "signal_wirelength",
     "wirelength_capacitance_product",
     "assign_min_tapping_cost",
@@ -70,7 +72,7 @@ __all__ = [
     "SkewSchedule",
     "max_slack_schedule",
     "zero_skew_schedule",
-    "RingAttraction",
+    "RingAttractions",
     "ring_attractions",
     "cost_driven_schedule",
     "FlowOptions",

@@ -32,7 +32,13 @@ import numpy.typing as npt
 
 from ..constants import Technology
 from ..errors import CostMatrixError, TappingError
-from ..geometry import Point, net_hpwl, net_steiner_wl
+from ..geometry import (
+    Point,
+    hpwl_from_arrays,
+    net_steiner_wl,
+    pin_index,
+    position_arrays,
+)
 from ..netlist import Circuit
 from ..obs import NULL_COLLECTOR, Collector
 from ..opt.mincostflow import FORBIDDEN_COST
@@ -264,10 +270,11 @@ class TappingCostCache:
         self._key: dict[str, tuple[float, float, float]] = {}
         #: Cached dense cost row per flip-flop.
         self._row: dict[str, npt.NDArray[np.float64]] = {}
-        #: Cached solutions per flip-flop: ring id -> (batch result, index).
-        #: Materialized into :class:`TappingSolution` lazily — only the
-        #: assigned ring of each flip-flop is ever realized.
-        self._solutions: dict[str, dict[int, tuple[_TappingBatch, int]]] = {}
+        #: Cached solutions per flip-flop: the batch result and, per ring,
+        #: the pair index into it (-1 for a pruned ring).  Materialized
+        #: into :class:`TappingSolution` lazily — only the assigned ring
+        #: of each flip-flop is ever realized.
+        self._solutions: dict[str, tuple[_TappingBatch, npt.NDArray[np.int32]]] = {}
         self.hits = 0
         self.misses = 0
 
@@ -287,13 +294,14 @@ class TappingCostCache:
         py = np.array([positions[name].y for name in names])
         tg = np.array([targets[name] for name in names])
         n_rings = self.array.num_rings
-        sols: list[dict[int, tuple[_TappingBatch, int]]] = [{} for _ in names]
         mask = _candidate_mask(
             self.array, px, py, self.candidate_rings,
             jobs=self.jobs, collector=self.collector,
         )
         rid, fid = np.nonzero(mask.T)
         rows_arr = np.full((len(names), n_rings), FORBIDDEN_COST)
+        pair_of = np.full((len(names), n_rings), -1, dtype=np.int32)
+        result: _TappingBatch | None = None
         if rid.size:
             result = batch_solve_rings(
                 self.array, rid, px[fid], py[fid], tg[fid], self.tech,
@@ -301,17 +309,23 @@ class TappingCostCache:
             )
             _check_pairs_feasible(result, names, rows=fid)
             rows_arr[fid, rid] = result.wirelength
-            for p in range(rid.size):
-                sols[fid[p]][int(rid[p])] = (result, p)
+            pair_of[fid, rid] = np.arange(rid.size)
         for i, name in enumerate(names):
             self._key[name] = self._row_key(positions[name], targets[name])
             self._row[name] = rows_arr[i]
-            self._solutions[name] = sols[i]
+            if result is not None:
+                self._solutions[name] = (result, pair_of[i])
 
     def _evict_stale(self, live: Sequence[str]) -> None:
         stale = set(self._key) - set(live)
         for name in sorted(stale):
             del self._key[name], self._row[name], self._solutions[name]
+
+    def _cached(self, name: str, ring_id: int) -> TappingSolution | None:
+        """The cached solution of ``name`` on ``ring_id``, if solved."""
+        result, pair_of = self._solutions[name]
+        p = int(pair_of[ring_id])
+        return result.solution(p) if p >= 0 else None
 
     # -- public -------------------------------------------------------
     def matrix(
@@ -353,11 +367,10 @@ class TappingCostCache:
     ) -> TappingSolution:
         """Tapping solution of one flip-flop on one ring, cached."""
         if self._key.get(name) == self._row_key(position, target):
-            entry = self._solutions[name].get(ring_id)
-            if entry is not None:
+            cached = self._cached(name, ring_id)
+            if cached is not None:
                 self._tally(1, 0)
-                result, i = entry
-                return result.solution(i)
+                return cached
         self._tally(0, 1)
         return best_tapping(self.array[ring_id], position, target, self.tech)
 
@@ -382,11 +395,10 @@ class TappingCostCache:
                 if self._key.get(name) == self._row_key(
                     positions[name], targets[name]
                 ):
-                    entry = self._solutions[name].get(ring_id)
-                    if entry is not None:
+                    cached = self._cached(name, ring_id)
+                    if cached is not None:
                         hits += 1
-                        result, i = entry
-                        out[name] = result.solution(i)
+                        out[name] = cached
                         continue
                 missed.setdefault(int(ring_id), []).append(name)
             self._tally(hits, len(ring_of) - hits)
@@ -420,7 +432,13 @@ class Assignment:
 
     @property
     def tapping_wirelength(self) -> float:
-        return sum(s.wirelength for s in self.solutions.values())
+        # A sequential fold in solution order: the built-in sum is
+        # compensated from Python 3.12 on, so its float (and every digest
+        # holding it) would depend on the interpreter.
+        total = 0.0
+        for sol in self.solutions.values():
+            total += sol.wirelength
+        return total
 
     @property
     def average_flipflop_distance(self) -> float:
@@ -487,6 +505,19 @@ def realize_assignment(
     )
 
 
+def net_pins(
+    circuit: Circuit, index: Mapping[str, int] | None = None
+) -> tuple[npt.NDArray[np.int64], npt.NDArray[np.intp]]:
+    """CSR pin index over ``circuit.nets`` in net order (see
+    :func:`repro.geometry.pin_index`); pins index ``list(circuit)``, or
+    the slots of ``index`` when given."""
+    if index is None:
+        index = {cell.name: i for i, cell in enumerate(circuit)}
+    return pin_index(
+        [index[m] for m in net.members] for net in circuit.nets.values()
+    )
+
+
 def signal_wirelength(
     circuit: Circuit,
     positions: Mapping[str, Point],
@@ -496,16 +527,28 @@ def signal_wirelength(
 
     ``model="hpwl"`` (default, the paper's metric) or ``model="steiner"``
     for the rectilinear-Steiner estimate (exact for nets of <= 3 pins,
-    tighter for bigger nets).
+    tighter for bigger nets).  Cells missing from ``positions`` are left
+    out of their nets.
     """
     if model not in ("hpwl", "steiner"):
         raise ValueError(f"unknown wirelength model {model!r}")
-    estimate = net_hpwl if model == "hpwl" else net_steiner_wl
-    total = 0.0
-    for net in circuit.nets.values():
-        pins = [positions[m] for m in net.members if m in positions]
-        total += estimate(pins)
-    return total
+    if model == "steiner":
+        total = 0.0
+        for net in circuit.nets.values():
+            total += net_steiner_wl(
+                [positions[m] for m in net.members if m in positions]
+            )
+        return total
+    names = [cell.name for cell in circuit]
+    x, y = position_arrays(names, positions)
+    ptr, pins = net_pins(circuit)
+    keep = np.array([name in positions for name in names])[pins]
+    if not keep.all():
+        net_of = np.repeat(np.arange(ptr.size - 1), np.diff(ptr))
+        counts = np.bincount(net_of[keep], minlength=ptr.size - 1)
+        ptr = np.concatenate([[0], np.cumsum(counts)])
+        pins = pins[keep]
+    return hpwl_from_arrays(x, y, ptr, pins)
 
 
 def wirelength_capacitance_product(total_wl: float, max_cap_ff: float) -> float:

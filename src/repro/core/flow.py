@@ -34,13 +34,19 @@ import numpy as np
 
 from ..constants import DEFAULT_CLOCK_PERIOD_PS, DEFAULT_TECHNOLOGY, Technology
 from ..errors import ReproError
-from ..geometry import Point
+from ..geometry import (
+    Point,
+    PositionView,
+    hpwl_from_arrays,
+    position_arrays,
+    position_dict,
+)
 from ..netlist import Circuit
 from ..obs import NULL_COLLECTOR, Collector, Trace, TraceCollector
 from ..parallel import resolve_jobs
 from ..placement import (
     IncrementalOptions,
-    PseudoNet,
+    LegalizationResult,
     QuadraticPlacer,
     incremental_place,
     legalize,
@@ -61,7 +67,7 @@ from .assignment_ilp import MinMaxCapResult, ilp_assignment
 from .cost import (
     Assignment,
     TappingCostCache,
-    signal_wirelength,
+    net_pins,
 )
 from .skew_cost_driven import cost_driven_schedule, ring_attractions
 from .skew_traditional import SkewSchedule, max_slack_schedule
@@ -662,6 +668,21 @@ class IntegratedFlow:
         jobs = resolve_jobs(opts.jobs)
         obs.gauge("flow.jobs", jobs)
 
+        # One placement state: x/y arrays over ``list(circuit)`` (the
+        # STA's cell order), plus the index maps built once per flow.
+        ffs = self._ffs
+        names = tuple(cell.name for cell in self.circuit)
+        cell_index = {name: i for i, name in enumerate(names)}
+        ff_cell = np.array([cell_index[ff] for ff in ffs], dtype=np.intp)
+        ff_index = {ff: k for k, ff in enumerate(ffs)}
+        pin_ptr, pins = net_pins(self.circuit, cell_index)
+
+        def ff_positions(x: np.ndarray, y: np.ndarray) -> PositionView:
+            return PositionView(ff_index, x[ff_cell], y[ff_cell])
+
+        def along_ffs(values: Mapping[str, Any]) -> np.ndarray:
+            return np.array([values[ff] for ff in ffs])
+
         # Stage 1: initial placement.
         tic = time.monotonic()
         with obs.span("stage1.initial-placement"):
@@ -669,26 +690,42 @@ class IntegratedFlow:
                 self.circuit, self.tech, opts.utilization
             )
             placer = QuadraticPlacer(self.circuit, region, collector=obs)
-            legal = legalize(placer.place(), region)
-            positions: dict[str, Point] = dict(placer.fixed_positions)
-            positions.update(legal.positions)
+            movable = np.array(
+                [cell_index[name] for name in placer.movable], dtype=np.intp
+            )
+            placer_cell = {name: i for i, name in enumerate(placer.movable)}
+            ff_placer = np.array([placer_cell[ff] for ff in ffs], dtype=np.intp)
+            # Pads never move: every placement starts from their sites.
+            pads_x, pads_y = position_arrays(names, placer.fixed_positions)
+
+            def with_pads(legal: LegalizationResult) -> tuple[np.ndarray, np.ndarray]:
+                x, y = pads_x.copy(), pads_y.copy()
+                x[movable] = legal.x
+                y[movable] = legal.y
+                return x, y
+
+            gx, gy = placer.place()
+            x, y = with_pads(
+                legalize(gx, gy, placer.movable, region, placer.name_rank)
+            )
             if opts.detailed_refinement:
-                refined = refine_placement(self.circuit, region, positions)
-                positions = refined.positions
+                refined = refine_placement(
+                    self.circuit, region, position_dict(names, x, y)
+                )
+                x, y = position_arrays(names, refined.positions)
         # Snapshot the clock-oblivious placement: conventional-baseline
         # comparisons (Table II) reference these positions, never the
-        # pseudo-net-iterated ones.
-        initial_positions = dict(positions)
+        # pseudo-net-iterated ones.  Placements are replaced, never
+        # written in place, so holding the arrays is a snapshot.
+        initial_x, initial_y = x, y
         t_placer += time.monotonic() - tic
 
         # Stage 2: traditional max-slack skew optimization.
         tic = time.monotonic()
         with obs.span("stage2.max-slack-skew"):
             sta = VectorizedTiming(self.circuit, self.tech, collector=obs, jobs=jobs)
-            timing = sta.analyze(positions)
-            schedule = max_slack_schedule(
-                timing.pairs, self._ffs, opts.period, self.tech
-            )
+            timing = sta.analyze(x, y)
+            schedule = max_slack_schedule(timing, ffs, opts.period, self.tech)
         slack_available = schedule.slack
         # Guarantee a fraction of the achievable slack; if the design
         # cannot even reach zero slack, guarantee what is achievable so
@@ -734,15 +771,17 @@ class IntegratedFlow:
         # flip-flop order of the cost matrix — the warm start for the
         # stage-3 min-cost-flow re-solve.
         prev_assign: "np.ndarray | None" = None
-        # Best iterate seen: (record, assignment, schedule, positions).
+        # Best iterate seen: (record, assignment, schedule, x, y).
         best: (
-            tuple[IterationRecord, Assignment, SkewSchedule, dict[str, Point]] | None
+            tuple[IterationRecord, Assignment, SkewSchedule, np.ndarray, np.ndarray]
+            | None
         ) = None
 
         for iteration in range(1, opts.max_iterations + 1):
             tic = time.monotonic()
             obs.count("flow.iterations")
             cache_hits0, cache_misses0 = cache.hits, cache.misses
+            positions = ff_positions(x, y)
             # Stage 3: flip-flop assignment.
             with obs.span("stage3.assignment", iteration=iteration):
                 targets = schedule.normalized(opts.period).targets
@@ -778,27 +817,31 @@ class IntegratedFlow:
                 base = self._record(
                     0,
                     assignment,
-                    positions,
+                    hpwl_from_arrays(x, y, pin_ptr, pins),
                     array,
                     0.0,
                     worst_slack=worst_pair_slack(
-                        timing.pairs, schedule.targets, opts.period, self.tech
+                        timing,
+                        along_ffs(schedule.targets),
+                        opts.period,
+                        self.tech,
                     ),
                 )
 
             # Stage 4: cost-driven skew optimization.
             with obs.span("stage4.cost-driven-skew", iteration=iteration):
                 attractions = ring_attractions(
-                    assignment.ring_of,
-                    positions,
-                    schedule.targets,
+                    along_ffs(assignment.ring_of),
+                    x[ff_cell],
+                    y[ff_cell],
+                    along_ffs(schedule.targets),
                     array,
                     self.tech,
                 )
                 schedule = cost_driven_schedule(
                     attractions,
-                    timing.pairs,
-                    self._ffs,
+                    timing,
+                    ffs,
                     opts.period,
                     self.tech,
                     slack=slack_guaranteed,
@@ -813,12 +856,13 @@ class IntegratedFlow:
             # pairs by permissible-range slack under the stage-4
             # schedule and up-weight their path nets for the *next*
             # incremental placement (stage 6).
+            scheduled = along_ffs(schedule.targets)
             net_weights: dict[str, float] | None = None
             if extractor is not None:
                 with obs.span("timing.critical-extraction", iteration=iteration):
                     critical = extractor.extract(
-                        timing.pairs,
-                        schedule.targets,
+                        timing,
+                        scheduled,
                         opts.period,
                         self.tech,
                         k=opts.critical_pairs_k,
@@ -828,7 +872,7 @@ class IntegratedFlow:
                     )
                 obs.count("flow.weighted-nets", len(net_weights))
             worst_slack = worst_pair_slack(
-                timing.pairs, schedule.targets, opts.period, self.tech
+                timing, scheduled, opts.period, self.tech
             )
             obs.gauge("flow.worst-slack-ps", worst_slack)
 
@@ -839,7 +883,7 @@ class IntegratedFlow:
                 record = self._record(
                     iteration,
                     assignment,
-                    positions,
+                    hpwl_from_arrays(x, y, pin_ptr, pins),
                     array,
                     seconds,
                     cache_hits=cache.hits - cache_hits0,
@@ -851,7 +895,7 @@ class IntegratedFlow:
                     record = dataclasses.replace(
                         record,
                         findings=self._check_iteration(
-                            positions,
+                            position_dict(names, x, y),
                             array,
                             assignment,
                             capacities,
@@ -865,7 +909,7 @@ class IntegratedFlow:
             if self.on_iteration is not None:
                 self.on_iteration(record)
             if best is None or record.overall_cost < best[0].overall_cost:
-                best = (record, assignment, schedule, dict(positions))
+                best = (record, assignment, schedule, x, y)
             if prev_cost - record.overall_cost < opts.convergence_tol * max(
                 prev_cost, 1e-9
             ) and iteration > 1:
@@ -883,35 +927,37 @@ class IntegratedFlow:
                     # Rebuilds the spring structure (and prefactored
                     # base) only when the critical set actually moved.
                     placer.set_net_weights(net_weights)
-                pseudo = [
-                    PseudoNet(ff, sol.point, opts.pseudo_net_weight)
-                    for ff, sol in assignment.solutions.items()
-                ]
+                # One pseudo net per flip-flop, to its tapping point.
+                points = [assignment.solutions[ff].point for ff in ffs]
+                pseudo = (
+                    ff_placer,
+                    np.array([p.x for p in points]),
+                    np.array([p.y for p in points]),
+                    np.full(len(ffs), opts.pseudo_net_weight),
+                )
                 inc = incremental_place(
-                    self.circuit,
-                    region,
-                    positions,
+                    placer,
+                    (x[movable], y[movable]),
                     pseudo,
                     IncrementalOptions(
                         stability_weight=opts.stability_weight,
                         pseudo_net_weight=opts.pseudo_net_weight,
                     ),
                     collector=obs,
-                    placer=placer,
                 )
-                positions = dict(placer.fixed_positions)
-                positions.update(inc.positions)
+                x, y = with_pads(inc)
             t_placer += time.monotonic() - tic
 
             tic = time.monotonic()
             with obs.span("timing.rebuild", iteration=iteration):
-                timing = sta.analyze(positions)
+                timing = sta.analyze(x, y)
             t_alg += time.monotonic() - tic
 
         assert base is not None and best is not None and history
         # Return the best-cost iterate (min-max skew mode in particular can
         # trade total tapping cost while optimizing the max).
-        best_record, best_assignment, best_schedule, best_positions = best
+        best_record, best_assignment, best_schedule, best_x, best_y = best
+        best_positions = position_dict(names, best_x, best_y)
 
         local_tree_result = None
         if opts.local_trees:
@@ -920,7 +966,7 @@ class IntegratedFlow:
             from ..clocktree.local_trees import build_local_trees
 
             with obs.span("post.local-trees"):
-                best_timing = sta.analyze(best_positions)
+                best_timing = sta.analyze(best_x, best_y)
                 local_tree_result = build_local_trees(
                     best_assignment,
                     array,
@@ -949,7 +995,7 @@ class IntegratedFlow:
             ilp_stats=ilp_stats,
             local_trees=local_tree_result,
             trace=obs.trace(),
-            initial_positions=initial_positions,
+            initial_positions=position_dict(names, initial_x, initial_y),
         )
 
     # ------------------------------------------------------------------
@@ -994,7 +1040,7 @@ class IntegratedFlow:
         self,
         iteration: int,
         assignment: Assignment,
-        positions: dict[str, Point],
+        sig: float,
         array: RingArray,
         seconds: float,
         cache_hits: int = 0,
@@ -1003,7 +1049,6 @@ class IntegratedFlow:
         weighted_nets: int = 0,
     ) -> IterationRecord:
         tap = assignment.tapping_wirelength
-        sig = signal_wirelength(self.circuit, positions)
         return IterationRecord(
             iteration=iteration,
             tapping_wirelength=tap,
@@ -1023,7 +1068,7 @@ class IntegratedFlow:
 
 def _retarget(
     assignment: Assignment,
-    positions: dict[str, Point],
+    positions: Mapping[str, Point],
     targets: dict[str, float],
     cache: TappingCostCache,
 ) -> Assignment:

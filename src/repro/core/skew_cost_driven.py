@@ -28,77 +28,116 @@ from dataclasses import dataclass
 from typing import Literal, Mapping
 
 import numpy as np
+import numpy.typing as npt
 
 from ..constants import Technology
 from ..errors import SkewOptimizationError
-from ..geometry import Point
 from ..obs import NULL_COLLECTOR, Collector
 from ..opt.lp import LinearProgram
 from ..rotary import RingArray, stub_delay
-from ..timing import PathBounds
+from ..timing import PathBounds, TimingSnapshot
 from .skew_traditional import SkewSchedule, _pair_index_arrays
+
+_F64 = npt.NDArray[np.float64]
 
 
 @dataclass(frozen=True, slots=True)
-class RingAttraction:
-    """Per flip-flop: the nearest ring point and its achievable delay."""
+class RingAttractions:
+    """Per flip-flop, in the order of the flip-flops they were computed
+    for: the distance ``l_i`` to the nearest ring point ``c``, the delay
+    ``t_c`` there (phase-adjusted near the current target) and the stub
+    delay ``t_{c,i}`` over ``l_i``."""
 
-    ff: str
-    nearest_point: Point
-    distance: float  # l_i (um)
-    delay_at_point: float  # t_c (ps), phase-adjusted near the current target
-    stub_delay: float  # t_{c,i} (ps)
+    distance: _F64  # l_i (um)
+    delay_at_point: _F64  # t_c (ps)
+    stub_delay: _F64  # t_{c,i} (ps)
+
+    def __len__(self) -> int:
+        return int(self.distance.shape[0])
 
     @property
-    def achievable_delay(self) -> float:
+    def achievable_delay(self) -> _F64:
         """t_i = t_c + t_{c,i}."""
-        return self.delay_at_point + self.stub_delay
+        out: _F64 = self.delay_at_point + self.stub_delay
+        return out
 
 
 def ring_attractions(
-    ring_of: Mapping[str, int],
-    positions: Mapping[str, Point],
-    current: Mapping[str, float],
+    ring_ids: npt.ArrayLike,
+    px: npt.ArrayLike,
+    py: npt.ArrayLike,
+    current: npt.ArrayLike,
     array: RingArray,
     tech: Technology,
-) -> dict[str, RingAttraction]:
-    """Compute ``(c, l_i, t_c, t_{c,i})`` for every assigned flip-flop.
+) -> RingAttractions:
+    """Compute ``(l_i, t_c, t_{c,i})`` for flip-flop ``i`` at
+    ``(px[i], py[i])`` on ring ``ring_ids[i]`` with target ``current[i]``.
 
-    The ring offers two complementary phases at ``c`` and repeats every
-    period; the candidate delay closest to the flip-flop's *current*
-    target is chosen so the LP pulls the target the short way around.
+    ``c`` is the nearest point of the ring's four sides (the first of
+    segments 0-3 of :meth:`RotaryRing.segments` at minimum Manhattan
+    distance).  The ring offers two complementary phases at ``c`` and
+    repeats every period; the candidate delay closest to the flip-flop's
+    *current* target is chosen so the LP pulls the target the short way
+    around.  Each value is bit-identical to the per-flip-flop loop kept
+    as the test oracle ``tests/oracles/evaluation_ref.py``.
+
+    Raises :class:`SkewOptimizationError` for a non-finite position or
+    target.
     """
+    rid = np.asarray(ring_ids, dtype=np.intp)
+    xs = np.asarray(px, dtype=np.float64)
+    ys = np.asarray(py, dtype=np.float64)
+    target = np.asarray(current, dtype=np.float64)
+    for what, values in (("x", xs), ("y", ys), ("skew target", target)):
+        bad = np.flatnonzero(~np.isfinite(values))
+        if bad.size:
+            k = int(bad[0])
+            raise SkewOptimizationError(
+                f"ring attraction of flip-flop #{k}: non-finite {what} "
+                f"{float(values[k])!r}"
+            )
+    sx, sy, dx, dy, length, t0, rho, periods = (
+        stack[rid] for stack in array.segment_stacks()
+    )
+    sides = slice(0, 4)  # segments 4-7 repeat the geometry
+    sx, sy, dx, dy = sx[:, sides], sy[:, sides], dx[:, sides], dy[:, sides]
+    length, t0, rho = length[:, sides], t0[:, sides], rho[:, sides]
+    # RingSegment.project, then clamp onto the side as the built-in
+    # max/min do (each keeps its first argument on a tie).
+    rx = xs[:, None] - sx
+    ry = ys[:, None] - sy
+    xf = rx * dx + ry * dy
+    yf = np.abs(rx * dy - ry * dx)
+    above = np.where(0.0 > xf, 0.0, xf)
+    x = np.where(length < above, length, above)
+    dist_all = np.abs(x - xf) + yf
+    # argmin takes the first minimum, as the scalar strict ``<`` does.
+    rows = np.arange(rid.size)
+    best = np.argmin(dist_all, axis=1)
+    dist = dist_all[rows, best]
+    t_stub = np.asarray(stub_delay(dist, tech), dtype=np.float64)
+    t_point = t0[rows, best] + rho[rows, best] * x[rows, best]
     period = array.period
-    out: dict[str, RingAttraction] = {}
-    for ff, ring_id in ring_of.items():
-        ring = array[ring_id]
-        p = positions[ff]
-        point, dist = ring.nearest_point(p)
-        t_stub = stub_delay(dist, tech)
-        target = current[ff]
-        best_tc = None
-        best_err = None
-        for tc in ring.delay_candidates_at(p):
-            # Shift tc by whole periods to land nearest the current target.
-            k = round((target - (tc + t_stub)) / period)
-            tc_adj = tc + k * period
-            err = abs(tc_adj + t_stub - target)
-            if best_err is None or err < best_err:
-                best_tc, best_err = tc_adj, err
-        assert best_tc is not None
-        out[ff] = RingAttraction(
-            ff=ff,
-            nearest_point=point,
-            distance=dist,
-            delay_at_point=best_tc,
-            stub_delay=t_stub,
-        )
-    return out
+
+    def shifted(tc: _F64) -> tuple[_F64, _F64]:
+        # Whole periods landing tc nearest the current target; np.rint
+        # rounds half to even, as the built-in round does.
+        k = np.rint((target - (tc + t_stub)) / period)
+        tc_adj = tc + k * period
+        return tc_adj, np.abs(tc_adj + t_stub - target)
+
+    tc_a, err_a = shifted(t_point)
+    tc_b, err_b = shifted(t_point + 0.5 * periods)
+    return RingAttractions(
+        distance=dist,
+        delay_at_point=np.where(err_b < err_a, tc_b, tc_a),
+        stub_delay=t_stub,
+    )
 
 
 def _add_timing_constraints(
     lp: LinearProgram,
-    pairs: Mapping[tuple[str, str], PathBounds],
+    pairs: Mapping[tuple[str, str], PathBounds] | TimingSnapshot,
     flip_flops: list[str],
     period: float,
     tech: Technology,
@@ -112,7 +151,7 @@ def _add_timing_constraints(
     ``tests/oracles/skew_lp_ref.py`` drops their zero coefficients.
     """
     ii, jj, d_max, d_min = _pair_index_arrays(pairs, flip_flops)
-    n_p = len(pairs)
+    n_p = len(ii)
     setup_rows = 2 * np.arange(n_p, dtype=np.intp)
     hold_rows = setup_rows + 1
     nd = ii != jj
@@ -129,8 +168,8 @@ def _add_timing_constraints(
 
 
 def cost_driven_schedule(
-    attractions: Mapping[str, RingAttraction],
-    pairs: Mapping[tuple[str, str], PathBounds],
+    attractions: RingAttractions,
+    pairs: Mapping[tuple[str, str], PathBounds] | TimingSnapshot,
     flip_flops: list[str],
     period: float,
     tech: Technology,
@@ -140,14 +179,19 @@ def cost_driven_schedule(
 ) -> SkewSchedule:
     """Solve the cost-driven skew LP; returns the new schedule.
 
-    ``slack`` is the prespecified guaranteed slack ``M`` (the paper keeps
-    timing safe while trading the rest of the permissible range for
-    tapping cost).
+    ``attractions`` is aligned with ``flip_flops``.  ``slack`` is the
+    prespecified guaranteed slack ``M`` (the paper keeps timing safe
+    while trading the rest of the permissible range for tapping cost).
     """
     if not flip_flops:
         raise SkewOptimizationError("no flip-flops to schedule")
     if mode not in ("minmax", "weighted"):
         raise SkewOptimizationError(f"unknown cost-driven mode {mode!r}")
+    if len(attractions) != len(flip_flops):
+        raise SkewOptimizationError(
+            f"ring attractions cover {len(attractions)} flip-flops, "
+            f"expected {len(flip_flops)}"
+        )
 
     with collector.span("skew.cost-driven", mode=mode):
         collector.count("skew.lp.solves")
@@ -158,8 +202,8 @@ def cost_driven_schedule(
 
 
 def _solve_cost_driven(
-    attractions: Mapping[str, RingAttraction],
-    pairs: Mapping[tuple[str, str], PathBounds],
+    attractions: RingAttractions,
+    pairs: Mapping[tuple[str, str], PathBounds] | TimingSnapshot,
     flip_flops: list[str],
     period: float,
     tech: Technology,
@@ -171,13 +215,10 @@ def _solve_cost_driven(
         lp.add_var(f"t_{ff}", lb=float("-inf"))
     _add_timing_constraints(lp, pairs, flip_flops, period, tech, slack)
 
-    attracted = [ff for ff in flip_flops if ff in attractions]
-    n_a = len(attracted)
-    t_cols = np.array(
-        [k for k, ff in enumerate(flip_flops) if ff in attractions], dtype=np.intp
-    )
-    t_c = np.array([attractions[ff].delay_at_point for ff in attracted])
-    stub = np.array([attractions[ff].stub_delay for ff in attracted])
+    n_a = len(flip_flops)
+    t_cols = np.arange(n_a, dtype=np.intp)
+    t_c = attractions.delay_at_point
+    stub = attractions.stub_delay
     first = 2 * np.arange(n_a, dtype=np.intp)
     second = first + 1
 
@@ -195,12 +236,11 @@ def _solve_cost_driven(
         lp.add_constraint_block(rows, cols, vals, "<=", rhs)
         lp.set_objective({"delta": 1.0})
     else:
-        if not attracted:
-            raise SkewOptimizationError("no ring attractions provided")
         # d_{ff} vars are appended contiguously after the t vars.
         d_cols = lp.num_vars + np.arange(n_a, dtype=np.intp)
-        for ff in attracted:
-            lp.add_var(f"d_{ff}", lb=0.0)
+        d_names = [f"d_{ff}" for ff in flip_flops]
+        for name in d_names:
+            lp.add_var(name, lb=0.0)
         ones_a = np.ones(n_a)
         t_i = t_c + stub  # achievable delay per attracted flip-flop
         # Rows 2k / 2k+1: |t̂_i - t_i| <= delta_i as two one-sided rows.
@@ -214,7 +254,7 @@ def _solve_cost_driven(
         # Natural weights: w_i = l_i (+ epsilon so near-ring flip-flops
         # are not entirely ignored).
         lp.set_objective(
-            {f"d_{ff}": attractions[ff].distance + 1e-3 for ff in attracted}
+            dict(zip(d_names, (attractions.distance + 1e-3).tolist()))
         )
 
     sol = lp.solve()

@@ -21,9 +21,9 @@ from typing import Mapping
 import numpy as np
 
 from ..constants import Technology
-from ..errors import SkewOptimizationError
+from ..errors import SkewOptimizationError, TimingError
 from ..opt.lp import LinearProgram
-from ..timing import PathBounds
+from ..timing import PathBounds, TimingSnapshot
 
 
 @dataclass(frozen=True, slots=True)
@@ -48,35 +48,30 @@ class SkewSchedule:
 
 
 def _pair_index_arrays(
-    pairs: Mapping[tuple[str, str], PathBounds],
+    pairs: Mapping[tuple[str, str], PathBounds] | TimingSnapshot,
     flip_flops: list[str],
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """``(ii, jj, d_max, d_min)`` arrays over ``pairs`` in iteration order.
+    """``(ii, jj, d_max, d_min)`` arrays over ``pairs`` in pair order.
 
     ``ii``/``jj`` index into ``flip_flops``; the shared precursor for the
-    block-assembled skew LPs (here and in the cost-driven variant).
+    block-assembled skew LPs (here and in the cost-driven variant).  A
+    :class:`~repro.timing.TimingSnapshot` over the same flip-flop order
+    hands over its pair arrays as they are; anything else goes through
+    its ``{(launch, capture): PathBounds}`` form.
     """
-    fidx = {ff: k for k, ff in enumerate(flip_flops)}
-    n_p = len(pairs)
-    ii = np.empty(n_p, dtype=np.intp)
-    jj = np.empty(n_p, dtype=np.intp)
-    d_max = np.empty(n_p)
-    d_min = np.empty(n_p)
-    try:
-        for k, ((i, j), b) in enumerate(pairs.items()):
-            ii[k] = fidx[i]
-            jj[k] = fidx[j]
-            d_max[k] = b.d_max
-            d_min[k] = b.d_min
-    except KeyError as exc:
-        raise SkewOptimizationError(
-            f"timing pair references unknown flip-flop {exc.args[0]!r}"
-        ) from None
-    return ii, jj, d_max, d_min
+    if isinstance(pairs, TimingSnapshot) and pairs.flip_flops == tuple(flip_flops):
+        snap = pairs
+    else:
+        mapping = pairs.pairs if isinstance(pairs, TimingSnapshot) else pairs
+        try:
+            snap = TimingSnapshot.from_pairs(mapping, flip_flops)
+        except TimingError as exc:
+            raise SkewOptimizationError(str(exc)) from None
+    return snap.launch, snap.capture, snap.d_max, snap.d_min
 
 
 def _max_slack_lp(
-    pairs: Mapping[tuple[str, str], PathBounds],
+    pairs: Mapping[tuple[str, str], PathBounds] | TimingSnapshot,
     flip_flops: list[str],
     period: float,
     tech: Technology,
@@ -91,7 +86,7 @@ def _max_slack_lp(
     m_col = len(flip_flops)
 
     ii, jj, d_max, d_min = _pair_index_arrays(pairs, flip_flops)
-    n_p = len(pairs)
+    n_p = len(ii)
     # Row 2k: t_i - t_j + M <= T - Dmax - setup (setup, pair k).
     # Row 2k+1: t_j - t_i + M <= Dmin - hold   (hold, pair k).
     # Self-loop pairs (i == j) cancel the t terms and constrain M alone.
@@ -125,12 +120,16 @@ def _max_slack_lp(
 
 
 def max_slack_schedule(
-    pairs: Mapping[tuple[str, str], PathBounds],
+    pairs: Mapping[tuple[str, str], PathBounds] | TimingSnapshot,
     flip_flops: list[str],
     period: float,
     tech: Technology,
 ) -> SkewSchedule:
-    """Solve the max-slack LP; returns targets plus the optimum M."""
+    """Solve the max-slack LP; returns targets plus the optimum M.
+
+    ``pairs`` is a timing snapshot (the flow passes the vectorized STA's)
+    or a ``{(launch, capture): PathBounds}`` mapping.
+    """
     if not flip_flops:
         raise SkewOptimizationError("no flip-flops to schedule")
     sol = _max_slack_lp(pairs, flip_flops, period, tech).solve()

@@ -10,6 +10,7 @@ from __future__ import annotations
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
+import numpy.typing as npt
 
 from .point import Point
 
@@ -31,23 +32,54 @@ def total_hpwl(nets: Iterable[Sequence[Point]]) -> float:
     return sum(net_hpwl(pins) for pins in nets)
 
 
-def hpwl_from_arrays(
-    x: np.ndarray,
-    y: np.ndarray,
-    net_members: Sequence[Sequence[int]],
-) -> float:
-    """Vectorised HPWL: ``net_members[k]`` lists indices into ``x``/``y``.
-
-    Used by the placer, which keeps coordinates as flat numpy arrays.
-    """
-    total = 0.0
+def pin_index(
+    net_members: Iterable[Sequence[int]],
+) -> tuple[npt.NDArray[np.int64], npt.NDArray[np.intp]]:
+    """CSR pin index ``(ptr, pins)``: net ``k``'s pins are
+    ``pins[ptr[k]:ptr[k + 1]]``, indices into the coordinate arrays."""
+    ptr = [0]
+    pins: list[int] = []
     for members in net_members:
-        if len(members) < 2:
-            continue
-        idx = np.asarray(members, dtype=np.intp)
-        nx = x[idx]
-        ny = y[idx]
-        total += float(nx.max() - nx.min() + ny.max() - ny.min())
+        pins.extend(members)
+        ptr.append(len(pins))
+    return np.asarray(ptr, dtype=np.int64), np.asarray(pins, dtype=np.intp)
+
+
+def hpwl_from_arrays(
+    x: npt.NDArray[np.float64],
+    y: npt.NDArray[np.float64],
+    ptr: npt.NDArray[np.int64],
+    pins: npt.NDArray[np.intp],
+) -> float:
+    """Total HPWL over the nets of a CSR pin index (see :func:`pin_index`).
+
+    Bit-identical to summing :func:`net_hpwl` net by net: each net's
+    extent is ``(max - min) + (max - min)`` as there, nets with fewer than
+    two pins add 0.0, and the per-net values are added in net order by
+    a sequential fold (``np.sum`` is pairwise, and the built-in ``sum``
+    is compensated from Python 3.12 on; either would change the float).
+    """
+    counts = np.diff(ptr)
+    nonempty = np.flatnonzero(counts > 0)
+    if nonempty.size == 0:
+        return 0.0
+    # reduceat over the start of every non-empty net: an empty net
+    # covers no pins, so dropping it leaves every segment intact.
+    starts = ptr[nonempty]
+    px = x[pins]
+    py = y[pins]
+    span = np.zeros(counts.size)
+    multi = counts[nonempty] >= 2
+    span[nonempty[multi]] = (
+        np.maximum.reduceat(px, starts)[multi]
+        - np.minimum.reduceat(px, starts)[multi]
+    ) + (
+        np.maximum.reduceat(py, starts)[multi]
+        - np.minimum.reduceat(py, starts)[multi]
+    )
+    total = 0.0
+    for value in span.tolist():
+        total += value
     return total
 
 

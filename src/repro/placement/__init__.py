@@ -9,7 +9,7 @@ from .incremental import (
 )
 from .legalize import LegalizationResult, legalize
 from .pseudonet import PseudoNet
-from .quadratic import PlacerOptions, QuadraticPlacer
+from .quadratic import PlacerOptions, PseudoNetArrays, QuadraticPlacer
 from .region import (
     PlacementRegion,
     pad_positions,
@@ -25,6 +25,7 @@ __all__ = [
     "legalize",
     "LegalizationResult",
     "PseudoNet",
+    "PseudoNetArrays",
     "incremental_place",
     "IncrementalOptions",
     "placement_perturbation",

@@ -11,15 +11,15 @@ solves are warm-started and spreading reuses the placer's machinery.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Mapping
+
+import numpy as np
+import numpy.typing as npt
 
 from ..geometry import Point
-from ..netlist import Circuit
 from ..obs import NULL_COLLECTOR, Collector
 from .legalize import LegalizationResult, legalize
-from .pseudonet import PseudoNet
-from .quadratic import PlacerOptions, QuadraticPlacer
-from .region import PlacementRegion
+from .quadratic import PseudoNetArrays, QuadraticPlacer
 
 
 @dataclass(frozen=True, slots=True)
@@ -33,38 +33,34 @@ class IncrementalOptions:
 
 
 def incremental_place(
-    circuit: Circuit,
-    region: PlacementRegion,
-    previous: Mapping[str, Point],
-    pseudo_nets: Iterable[PseudoNet],
+    placer: QuadraticPlacer,
+    previous: tuple[npt.NDArray[np.float64], npt.NDArray[np.float64]],
+    pseudo_nets: PseudoNetArrays | None = None,
     options: IncrementalOptions | None = None,
-    placer_options: PlacerOptions | None = None,
     collector: Collector = NULL_COLLECTOR,
-    placer: QuadraticPlacer | None = None,
 ) -> LegalizationResult:
     """One incremental placement pass; returns legalized positions.
 
-    Pass an existing ``placer`` (bound to the same circuit and region)
-    to reuse its spring structure and base Laplacian triplets instead of
-    rebuilding them.
+    ``previous`` = ``(x, y)`` indexed like ``placer.movable`` anchors
+    every cell (and warm-starts the solves); ``pseudo_nets`` are in the
+    array form :meth:`QuadraticPlacer.place` takes.  The placer keeps
+    its spring structure and base Laplacian triplets across passes.
     """
     opts = options or IncrementalOptions()
-    pseudo = list(pseudo_nets)
     with collector.span("placement.incremental"):
         collector.count("placement.incremental.passes")
-        collector.count("placement.pseudo-nets", len(pseudo))
-        if placer is None:
-            placer = QuadraticPlacer(circuit, region, placer_options)
-        else:
-            collector.count("placement.placer.reused")
+        collector.count(
+            "placement.pseudo-nets",
+            0 if pseudo_nets is None else len(pseudo_nets[0]),
+        )
         with collector.span("placement.quadratic"):
-            global_pos = placer.place(
-                pseudo_nets=pseudo,
+            gx, gy = placer.place(
+                pseudo_nets=pseudo_nets,
                 stability_anchors=previous,
                 stability_weight=opts.stability_weight,
             )
         with collector.span("placement.legalize"):
-            return legalize(global_pos, region)
+            return legalize(gx, gy, placer.movable, placer.region, placer.name_rank)
 
 
 def placement_perturbation(

@@ -10,10 +10,13 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Sequence
+
+import numpy as np
+import numpy.typing as npt
 
 from ..errors import PlacementError
-from ..geometry import Point
+from ..geometry import Point, position_dict
 from .region import PlacementRegion
 
 #: Rows searched on each side of a cell's target row; the window doubles
@@ -23,59 +26,111 @@ _ROW_SEARCH_RADIUS = 8
 
 @dataclass(frozen=True, slots=True)
 class LegalizationResult:
-    """Legal positions plus displacement statistics."""
+    """Legal positions plus displacement statistics.
 
-    positions: dict[str, Point]
+    ``x``/``y`` are indexed like the ``names`` the legalizer was given;
+    ``order`` lists those indices in the order the cells were placed.
+    """
+
+    names: Sequence[str]
+    x: npt.NDArray[np.float64]
+    y: npt.NDArray[np.float64]
+    order: npt.NDArray[np.intp]
     total_displacement: float
     max_displacement: float
 
     @property
+    def positions(self) -> dict[str, Point]:
+        """``{name: Point}`` in placing order (built on each call)."""
+        order = self.order
+        return position_dict(
+            [self.names[i] for i in order.tolist()], self.x[order], self.y[order]
+        )
+
+    @property
     def mean_displacement(self) -> float:
-        n = len(self.positions)
+        n = len(self.names)
         return self.total_displacement / n if n else 0.0
 
 
-def legalize(
-    global_positions: Mapping[str, Point],
-    region: PlacementRegion,
-) -> LegalizationResult:
-    """Legalize ``global_positions`` onto the region's row/site grid.
+def name_ranks(names: Sequence[str]) -> npt.NDArray[np.intp]:
+    """Rank of each of ``names`` in sorted order."""
+    ranks = np.empty(len(names), dtype=np.intp)
+    ranks[sorted(range(len(names)), key=names.__getitem__)] = np.arange(len(names))
+    return ranks
 
-    Each cell takes the window row whose nearest free site minimizes
-    ``|row_y - y| + |site_x - x|``, the lowest row winning equal costs.
-    Rows are walked outward from the target row, down and up separately;
-    a side stops at the first row whose vertical distance alone exceeds
-    the best cost so far, since no row beyond it can match that cost.
+
+def legalize(
+    x: npt.ArrayLike,
+    y: npt.ArrayLike,
+    names: Sequence[str],
+    region: PlacementRegion,
+    name_rank: npt.ArrayLike | None = None,
+) -> LegalizationResult:
+    """Legalize the global placement ``(x, y)`` of ``names`` onto the
+    region's row/site grid.
+
+    Cells go in ``(x, y, name)`` order; ``name_rank`` (each name's rank
+    in sorted order, e.g. :attr:`QuadraticPlacer.name_rank`) saves
+    sorting the names.  Each cell takes the window row whose nearest
+    free site minimizes ``|row_y - y| + |site_x - x|``, the lowest row
+    winning equal costs.  Rows are walked outward from the target row,
+    down and up separately; a side stops at the first row whose vertical
+    distance alone exceeds the best cost so far, since no row beyond it
+    can match that cost.
 
     Raises :class:`PlacementError` if the region cannot hold the cells
     or a cell's position is not finite.
     """
-    num_cells = len(global_positions)
+    xs = np.asarray(x, dtype=np.float64)
+    ys = np.asarray(y, dtype=np.float64)
+    num_cells = len(names)
+    if xs.shape != (num_cells,) or ys.shape != (num_cells,):
+        raise PlacementError(
+            f"positions must be two arrays of {num_cells} coordinates, "
+            f"got shapes {xs.shape} and {ys.shape}"
+        )
     if num_cells > region.capacity_sites:
         raise PlacementError(
             f"{num_cells} cells exceed region capacity {region.capacity_sites}"
         )
-    cells: list[tuple[float, float, str]] = []
-    for name, p in global_positions.items():
-        if not (math.isfinite(p.x) and math.isfinite(p.y)):
-            raise PlacementError(
-                f"cell {name!r} has a non-finite position ({p.x}, {p.y})"
-            )
-        cells.append((p.x, p.y, name))
-    # Process in x order (classic Tetris) for deterministic packing.
-    cells.sort()
+    bad = np.flatnonzero(~(np.isfinite(xs) & np.isfinite(ys)))
+    if bad.size:
+        k = int(bad[0])
+        raise PlacementError(
+            f"cell {names[k]!r} has a non-finite position ({xs[k]}, {ys[k]})"
+        )
+    if name_rank is None:
+        name_rank = name_ranks(names)
+    # Process in (x, y, name) order (classic Tetris) for deterministic
+    # packing.
+    order = np.lexsort((np.asarray(name_rank), ys, xs))
+    x_list = xs.tolist()
+    y_list = ys.tolist()
+    # PlacementRegion.nearest_row / nearest_site for every cell: int()
+    # truncates toward zero, then the index is clamped to the grid.
+    bbox = region.bbox
+    target_rows = np.clip(
+        np.trunc((ys - bbox.ylo) / region.row_height), 0, region.num_rows - 1
+    ).astype(np.intp).tolist()
+    target_sites = np.clip(
+        np.trunc((xs - bbox.xlo) / region.site_width), 0, region.sites_per_row - 1
+    ).astype(np.intp).tolist()
     num_rows = region.num_rows
     row_ys = [region.row_y(row) for row in range(num_rows)]
     site_xs = [region.site_x(site) for site in range(region.sites_per_row)]
     free_sites: list[list[int]] = [
         list(range(region.sites_per_row)) for _ in range(num_rows)
     ]
-    out: dict[str, Point] = {}
+    out_x = np.empty(num_cells)
+    out_y = np.empty(num_cells)
     total_disp = 0.0
     max_disp = 0.0
-    for x, y, name in cells:
-        target_row = region.nearest_row(y)
-        target_site = region.nearest_site(x)
+    for i in order.tolist():
+        x = x_list[i]
+        y = y_list[i]
+        target_row = target_rows[i]
+        target_site = target_sites[i]
         radius = _ROW_SEARCH_RADIUS
         while True:
             lo = max(0, target_row - radius)
@@ -114,13 +169,14 @@ def legalize(
             radius *= 2
         row_free = free_sites[best_row]
         del row_free[bisect_left(row_free, best_site)]
-        out[name] = Point(site_xs[best_site], row_ys[best_row])
+        out_x[i] = site_xs[best_site]
+        out_y[i] = row_ys[best_row]
         # The winning cost is bit-equal to the cell's Manhattan
         # displacement (float addition commutes; |a - b| == |b - a|).
         total_disp += best_cost
         if best_cost > max_disp:
             max_disp = best_cost
-    return LegalizationResult(out, total_disp, max_disp)
+    return LegalizationResult(names, out_x, out_y, order, total_disp, max_disp)
 
 
 def _nearest_free_site(free: list[int], target: int) -> int | None:

@@ -21,9 +21,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Literal, Mapping, Sequence
+from typing import Iterable, Literal, Mapping
 
 import numpy as np
+import numpy.typing as npt
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
@@ -31,11 +32,14 @@ from ..errors import PlacementError
 from ..geometry import BBox, Point
 from ..netlist import Circuit
 from ..obs import NULL_COLLECTOR, Collector
+from .legalize import name_ranks
 from .pseudonet import PseudoNet
 from .region import PlacementRegion, pad_positions
 
 #: Anchor triple in array form: (cell indices, targets, weights).
 AnchorArrays = tuple[np.ndarray, np.ndarray, np.ndarray]
+#: Pseudo nets in array form: (cell indices, anchor x, anchor y, weights).
+PseudoNetArrays = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 
 #: Nets up to this degree use the clique spring model; bigger nets use a star.
 _CLIQUE_MAX_DEGREE = 5
@@ -105,10 +109,11 @@ class QuadraticPlacer:
         self.region = region
         self.options = options or PlacerOptions()
         self.collector = collector
-        self._movable = [c.name for c in circuit.standard_cells]
+        self._movable = tuple(c.name for c in circuit.standard_cells)
         if not self._movable:
             raise PlacementError("no movable cells")
         self._index = {name: i for i, name in enumerate(self._movable)}
+        self._name_rank = name_ranks(self._movable)
         self._fixed = pad_positions(circuit, region)
         self._net_weights = self._checked_net_weights(net_weights)
         self._springs = self._build_springs()
@@ -296,22 +301,10 @@ class QuadraticPlacer:
             sol = spla.spsolve(A.tocsc(), rhs)
         return np.asarray(sol)
 
-    @staticmethod
-    def _anchor_arrays(
-        anchors: "Sequence[tuple[int, float, float]] | AnchorArrays",
-    ) -> AnchorArrays:
-        if isinstance(anchors, tuple):
-            return anchors
-        if not anchors:
-            empty = np.zeros(0)
-            return np.zeros(0, dtype=np.int64), empty, empty
-        arr = np.asarray(anchors, dtype=np.float64)
-        return arr[:, 0].astype(np.int64), arr[:, 1], arr[:, 2]
-
     def _solve_axis(
         self,
         axis: int,
-        anchors: "Sequence[tuple[int, float, float]] | AnchorArrays",
+        anchors: AnchorArrays,
         warm: np.ndarray | None,
     ) -> np.ndarray:
         """Solve one coordinate axis.  ``anchors`` = (cell, target,
@@ -321,7 +314,7 @@ class QuadraticPlacer:
         n = len(self._movable)
         n_aux = len(self._star_nets)
         size = n + n_aux
-        a_idx, a_tgt, a_w = self._anchor_arrays(anchors)
+        a_idx, a_tgt, a_w = anchors
         rows = np.concatenate([base_rows, a_idx])
         cols = np.concatenate([base_cols, a_idx])
         vals = np.concatenate([base_vals, a_w])
@@ -341,8 +334,8 @@ class QuadraticPlacer:
 
     def _solve(
         self,
-        anchors_x: "Sequence[tuple[int, float, float]] | AnchorArrays",
-        anchors_y: "Sequence[tuple[int, float, float]] | AnchorArrays",
+        anchors_x: AnchorArrays,
+        anchors_y: AnchorArrays,
         warm_x: np.ndarray | None = None,
         warm_y: np.ndarray | None = None,
     ) -> tuple[np.ndarray, np.ndarray]:
@@ -351,62 +344,111 @@ class QuadraticPlacer:
         return x, y
 
     # ------------------------------------------------------------------
-    def place(
-        self,
-        pseudo_nets: Iterable[PseudoNet] = (),
-        stability_anchors: Mapping[str, Point] | None = None,
-        stability_weight: float = 0.0,
-    ) -> dict[str, Point]:
-        """Global placement (unlegalized).
+    @property
+    def movable(self) -> tuple[str, ...]:
+        """Movable cell names; index ``i`` is placer cell ``i``."""
+        return self._movable
 
-        ``pseudo_nets`` add springs toward fixed anchor points;
-        ``stability_anchors`` (typically the previous placement) with
-        ``stability_weight > 0`` turn the solve into a *stable
-        incremental* placement, as required by stage 6 of the flow.
+    @property
+    def name_rank(self) -> npt.NDArray[np.intp]:
+        """Rank of each movable cell's name in sorted order (the
+        legalizer's final tie-break)."""
+        return self._name_rank
+
+    def pseudo_net_arrays(self, pseudo_nets: Iterable[PseudoNet]) -> PseudoNetArrays:
+        """``pseudo_nets`` in the array form :meth:`place` takes.
+
+        Raises :class:`PlacementError` for a net to an unknown cell.
         """
-        base_x: list[tuple[int, float, float]] = []
-        base_y: list[tuple[int, float, float]] = []
-        for pn in pseudo_nets:
+        nets = list(pseudo_nets)
+        cells = np.empty(len(nets), dtype=np.intp)
+        for k, pn in enumerate(nets):
             idx = self._index.get(pn.cell)
             if idx is None:
                 raise PlacementError(f"pseudo net targets unknown cell {pn.cell!r}")
-            w = _checked_weight(
-                pn.weight, f"weight of pseudo net to cell {pn.cell!r}"
+            cells[k] = idx
+        return (
+            cells,
+            np.array([pn.anchor.x for pn in nets], dtype=np.float64),
+            np.array([pn.anchor.y for pn in nets], dtype=np.float64),
+            np.array([pn.weight for pn in nets], dtype=np.float64),
+        )
+
+    def place(
+        self,
+        pseudo_nets: PseudoNetArrays | None = None,
+        stability_anchors: tuple[np.ndarray, np.ndarray] | None = None,
+        stability_weight: float = 0.0,
+    ) -> tuple[npt.NDArray[np.float64], npt.NDArray[np.float64]]:
+        """Global placement (unlegalized), clamped to the region.
+
+        Returns ``(x, y)`` indexed like :attr:`movable`.
+        ``pseudo_nets`` = ``(cell, x, y, weight)`` arrays add springs
+        toward fixed anchor points (see :meth:`pseudo_net_arrays`);
+        ``stability_anchors`` = ``(x, y)`` indexed like :attr:`movable`
+        (typically the previous placement) with ``stability_weight > 0``
+        turn the solve into a *stable incremental* placement, as required
+        by stage 6 of the flow.  Each cell's anchors enter the system in
+        the order pseudo net, stability, spreading level, whatever order
+        the cells come in.
+        """
+        n = len(self._movable)
+        if pseudo_nets is None:
+            pseudo_nets = self.pseudo_net_arrays(())
+        p_idx = np.asarray(pseudo_nets[0], dtype=np.intp)
+        p_x, p_y, p_w = (np.asarray(a, dtype=np.float64) for a in pseudo_nets[1:])
+        outside = np.flatnonzero((p_idx < 0) | (p_idx >= n))
+        if outside.size:
+            raise PlacementError(
+                "pseudo net targets unknown cell "
+                f"#{int(p_idx[outside[0]])} (the placer has {n} cells)"
             )
-            base_x.append((idx, pn.anchor.x, w))
-            base_y.append((idx, pn.anchor.y, w))
+        bad = np.flatnonzero(~np.isfinite(p_w) | (p_w < 0.0))
+        if bad.size:
+            k = int(bad[0])
+            _checked_weight(
+                float(p_w[k]),
+                f"weight of pseudo net to cell {self._movable[p_idx[k]]!r}",
+            )
         if stability_weight:
             stability_weight = _checked_weight(
                 stability_weight, "stability anchor weight"
             )
+        a_idx, a_x, a_y, a_w = p_idx, p_x, p_y, p_w
         warm_x = warm_y = None
         if stability_anchors is not None and stability_weight > 0.0:
-            warm_x = np.zeros(len(self._movable))
-            warm_y = np.zeros(len(self._movable))
-            for name, p in stability_anchors.items():
-                idx = self._index.get(name)
-                if idx is None:
-                    continue
-                base_x.append((idx, p.x, stability_weight))
-                base_y.append((idx, p.y, stability_weight))
-                warm_x[idx] = p.x
-                warm_y[idx] = p.y
+            warm_x = np.asarray(stability_anchors[0], dtype=np.float64)
+            warm_y = np.asarray(stability_anchors[1], dtype=np.float64)
+            if warm_x.shape != (n,) or warm_y.shape != (n,):
+                raise PlacementError(
+                    f"stability anchors must be two arrays of {n} coordinates"
+                )
+            cells = np.arange(n, dtype=np.intp)
+            a_idx = np.concatenate([p_idx, cells])
+            a_x = np.concatenate([p_x, warm_x])
+            a_y = np.concatenate([p_y, warm_y])
+            a_w = np.concatenate([p_w, np.full(n, stability_weight)])
 
+        base_x: AnchorArrays = (a_idx, a_x, a_w)
+        base_y: AnchorArrays = (a_idx, a_y, a_w)
         x, y = self._solve(base_x, base_y, warm_x, warm_y)
         x, y = self._spread(x, y, base_x, base_y)
-        clamped = {
-            name: self.region.bbox.clamp(Point(float(x[i]), float(y[i])))
-            for name, i in self._index.items()
-        }
-        return clamped
+        # BBox.clamp per coordinate: max then min, each keeping its first
+        # argument on a tie, as the built-ins do.
+        box = self.region.bbox
+        x = np.where(box.xlo > x, box.xlo, x)
+        x = np.where(box.xhi < x, box.xhi, x)
+        y = np.where(box.ylo > y, box.ylo, y)
+        y = np.where(box.yhi < y, box.yhi, y)
+        return x, y
 
     # ------------------------------------------------------------------
     def _spread(
         self,
         x: np.ndarray,
         y: np.ndarray,
-        base_x: Sequence[tuple[int, float, float]],
-        base_y: Sequence[tuple[int, float, float]],
+        base_ax: AnchorArrays,
+        base_ay: AnchorArrays,
     ) -> tuple[np.ndarray, np.ndarray]:
         """Recursive-bisection spreading with per-level anchor re-solves."""
         n = len(self._movable)
@@ -416,8 +458,6 @@ class QuadraticPlacer:
         ]
         level = 0
         weight = opts.spreading_weight
-        base_ax = self._anchor_arrays(base_x)
-        base_ay = self._anchor_arrays(base_y)
         while level < opts.max_levels:
             next_regions: list[tuple[BBox, np.ndarray, bool]] = []
             split_any = False

@@ -15,7 +15,6 @@ segments**: the four sides, each available on both lines of the pair
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from ..geometry import BBox, Point
@@ -173,39 +172,3 @@ class RotaryRing:
         """Clock phase in degrees at arc length ``s``."""
         t = self.delay_at_arclength(s)
         return 360.0 * ((t / self.period) % 1.0)
-
-    def nearest_point(self, p: Point) -> tuple[Point, float]:
-        """Closest point on the loop to ``p`` and its Manhattan distance.
-
-        Used by the cost-driven skew optimization (point ``c`` and
-        distance ``l_i`` in Section VII).
-        """
-        best: tuple[Point, float] | None = None
-        for seg in self.segments()[:4]:
-            xf, yf = seg.project(p)
-            x = min(max(xf, 0.0), seg.length)
-            q = seg.point_at(x)
-            d = abs(x - xf) + yf
-            if best is None or d < best[1]:
-                best = (q, d)
-        assert best is not None
-        return best
-
-    def delay_candidates_at(self, p: Point) -> list[float]:
-        """Clock delays available at the loop point nearest to ``p``.
-
-        Two values: one per line of the differential pair (they differ by
-        half a period).
-        """
-        best_seg: RingSegment | None = None
-        best_d = math.inf
-        best_x = 0.0
-        for seg in self.segments()[:4]:
-            xf, yf = seg.project(p)
-            x = min(max(xf, 0.0), seg.length)
-            d = abs(x - xf) + yf
-            if d < best_d:
-                best_seg, best_d, best_x = seg, d, x
-        assert best_seg is not None
-        t = best_seg.delay_at(best_x)
-        return [t, t + 0.5 * self.period]

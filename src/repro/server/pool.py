@@ -79,6 +79,9 @@ def _child(conn: Connection, inherited: Sequence[Connection]) -> None:
     # alone runs with the inherited handler, so a worker the parent has
     # seen reply is already deaf to it.
     on_interrupt = signal.signal(signal.SIGINT, signal.SIG_IGN)
+    # The server's SIGTERM handler, copied at fork, is the server's: a
+    # worker dies of SIGTERM as a process does by default.
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
     while True:
         try:
             message = conn.recv()

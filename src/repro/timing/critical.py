@@ -18,8 +18,10 @@ Slack of one pair under a skew schedule ``t`` (permissible range
 
 Negative slack means the scheduled skew violates a wall; the smallest
 values are the pairs the placer should pull together.  The extraction
-is purely structural on top of the vectorized STA's pair bounds — it
-adds no timing re-analysis.
+is purely structural on top of the vectorized STA's pair arrays
+(:class:`~repro.timing.sta_vec.TimingSnapshot`) — it adds no timing
+re-analysis.  The per-pair scalar loop it replaced is kept as the test
+oracle ``tests/oracles/evaluation_ref.py``.
 """
 
 from __future__ import annotations
@@ -27,11 +29,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping
 
+import numpy as np
+import numpy.typing as npt
+
 from ..constants import Technology
 from ..netlist import Circuit
 from ..obs import NULL_COLLECTOR, Collector
-from .constraints import permissible_range
-from .sta import PathBounds
+from .sta_vec import TimingSnapshot
 
 __all__ = [
     "CriticalPair",
@@ -62,34 +66,47 @@ class CriticalPair:
 
 
 def pair_slacks(
-    pairs: Mapping[tuple[str, str], PathBounds],
-    schedule: Mapping[str, float],
+    timing: TimingSnapshot,
+    targets: npt.NDArray[np.float64],
     period: float,
     tech: Technology,
-) -> dict[tuple[str, str], float]:
-    """Permissible-range slack of every pair under ``schedule``.
+) -> npt.NDArray[np.float64]:
+    """Permissible-range slack of every pair of ``timing``, in pair order.
 
-    Pairs whose flip-flops are missing from the schedule default to a
-    zero skew target (the same convention the skew engines use for
-    unconstrained flip-flops).
+    ``targets`` holds the skew target of each of ``timing.flip_flops``
+    (:meth:`TimingSnapshot.schedule_array` gives a flip-flop missing
+    from a schedule 0.0, the convention the skew engines use for
+    unconstrained flip-flops).  Each value is the one
+    :func:`~repro.timing.constraints.permissible_range` arithmetic gives
+    at zero slack, bit for bit.
     """
-    slacks: dict[tuple[str, str], float] = {}
-    for (i, j), bounds in pairs.items():
-        r = permissible_range(i, j, bounds, period, tech)
-        skew = schedule.get(i, 0.0) - schedule.get(j, 0.0)
-        slacks[(i, j)] = min(r.hi - skew, skew - r.lo)
-    return slacks
+    # permissible_range's terms at slack 0.0, which can flip a zero's sign.
+    hi = period - timing.d_max - tech.setup_time - 0.0
+    lo = tech.hold_time - timing.d_min + 0.0
+    skew = targets[timing.launch] - targets[timing.capture]
+    setup_side = hi - skew
+    hold_side = skew - lo
+    # The built-in min keeps its first argument unless the second is
+    # strictly smaller.
+    out: npt.NDArray[np.float64] = np.where(
+        hold_side < setup_side, hold_side, setup_side
+    )
+    return out
 
 
 def worst_pair_slack(
-    pairs: Mapping[tuple[str, str], PathBounds],
-    schedule: Mapping[str, float],
+    timing: TimingSnapshot,
+    targets: npt.NDArray[np.float64],
     period: float,
     tech: Technology,
 ) -> float:
-    """The smallest permissible-range slack over all pairs (0.0 if none)."""
-    slacks = pair_slacks(pairs, schedule, period, tech)
-    return min(slacks.values(), default=0.0)
+    """The smallest permissible-range slack over all pairs (0.0 if none);
+    the first pair attaining it gives the value, as the built-in ``min``
+    does."""
+    slacks = pair_slacks(timing, targets, period, tech)
+    if slacks.size == 0:
+        return 0.0
+    return float(slacks[np.argmin(slacks)])
 
 
 class CriticalPathExtractor:
@@ -152,8 +169,8 @@ class CriticalPathExtractor:
 
     def extract(
         self,
-        pairs: Mapping[tuple[str, str], PathBounds],
-        schedule: Mapping[str, float],
+        timing: TimingSnapshot,
+        targets: npt.NDArray[np.float64],
         period: float,
         tech: Technology,
         *,
@@ -161,21 +178,24 @@ class CriticalPathExtractor:
     ) -> list[CriticalPair]:
         """The ``k`` most critical pairs (smallest slack first).
 
-        Ties break on the pair key so extraction is deterministic under
-        any hash seed.  Self-loop pairs (a flip-flop feeding itself)
-        participate: their nets still deserve weight.
+        ``targets`` is as for :func:`pair_slacks`.  Ties break on the
+        pair key so extraction is deterministic under any hash seed.
+        Self-loop pairs (a flip-flop feeding itself) participate: their
+        nets still deserve weight.
         """
         if k <= 0:
             return []
-        slacks = pair_slacks(pairs, schedule, period, tech)
-        ranked = sorted(slacks.items(), key=lambda kv: (kv[1], kv[0]))
+        slacks = pair_slacks(timing, targets, period, tech).tolist()
+        keys = timing.keys
+        ranked = sorted(range(len(keys)), key=lambda p: (slacks[p], keys[p]))
         out: list[CriticalPair] = []
-        for (launch, capture), slack in ranked[:k]:
+        for p in ranked[:k]:
+            launch, capture = keys[p]
             out.append(
                 CriticalPair(
                     launch=launch,
                     capture=capture,
-                    slack=slack,
+                    slack=slacks[p],
                     nets=self.path_nets(launch, capture),
                 )
             )

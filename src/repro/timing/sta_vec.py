@@ -38,14 +38,13 @@ from __future__ import annotations
 import math
 import weakref
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 import numpy.typing as npt
 
 from ..constants import OHM_FF_TO_PS, Technology
 from ..errors import CombinationalCycleError, TimingError
-from ..geometry import Point
 from ..netlist import CellKind, Circuit
 from ..obs import NULL_COLLECTOR, Collector
 from ..parallel import fixed_chunks, run_chunk_tasks
@@ -67,26 +66,96 @@ _LEVEL_EDGES_PER_CHUNK = 4096
 
 
 class TimingSnapshot:
-    """Sequential-pair timing at one placement (duck-typed result view).
+    """Sequential-pair timing at one placement, as pair arrays.
 
-    Exposes the same query surface as
-    :class:`~repro.timing.sta.SequentialTiming` — ``pairs``, ``bounds``
-    and ``max_delay`` — so flow stages consume either engine unchanged.
+    Pair ``k`` launches at flip-flop ``flip_flops[launch[k]]`` and
+    captures at ``flip_flops[capture[k]]`` with path delays
+    ``d_min[k]``/``d_max[k]``; pairs keep the scalar engine's order
+    (the LP constraint order downstream).  :attr:`pairs` is the
+    ``{(launch_ff, capture_ff): PathBounds}`` view of the same data,
+    built on first use, so :class:`~repro.timing.sta.SequentialTiming`
+    consumers read either engine unchanged.
     """
 
-    __slots__ = ("_pairs",)
+    __slots__ = ("flip_flops", "launch", "capture", "d_min", "d_max", "_keys", "_pairs")
 
-    def __init__(self, pairs: dict[tuple[str, str], PathBounds]) -> None:
-        self._pairs = pairs
+    def __init__(
+        self,
+        flip_flops: tuple[str, ...],
+        launch: _I32,
+        capture: _I32,
+        d_min: _F64,
+        d_max: _F64,
+        keys: tuple[tuple[str, str], ...],
+    ) -> None:
+        self.flip_flops = flip_flops
+        self.launch = launch
+        self.capture = capture
+        self.d_min = d_min
+        self.d_max = d_max
+        self._keys = keys
+        self._pairs: dict[tuple[str, str], PathBounds] | None = None
+
+    @classmethod
+    def from_pairs(
+        cls,
+        pairs: Mapping[tuple[str, str], PathBounds],
+        flip_flops: Sequence[str],
+    ) -> "TimingSnapshot":
+        """The snapshot of a ``{(launch, capture): PathBounds}`` mapping
+        over ``flip_flops``, in the mapping's order.
+
+        Raises :class:`~repro.errors.TimingError` for a pair naming a
+        flip-flop outside ``flip_flops``.
+        """
+        ffs = tuple(flip_flops)
+        fidx = {ff: k for k, ff in enumerate(ffs)}
+        n_p = len(pairs)
+        launch = np.empty(n_p, dtype=np.int32)
+        capture = np.empty(n_p, dtype=np.int32)
+        d_min = np.empty(n_p)
+        d_max = np.empty(n_p)
+        try:
+            for k, ((i, j), b) in enumerate(pairs.items()):
+                launch[k] = fidx[i]
+                capture[k] = fidx[j]
+                d_min[k] = b.d_min
+                d_max[k] = b.d_max
+        except KeyError as exc:
+            raise TimingError(
+                f"timing pair references unknown flip-flop {exc.args[0]!r}"
+            ) from None
+        snap = cls(ffs, launch, capture, d_min, d_max, tuple(pairs))
+        snap._pairs = dict(pairs)
+        return snap
+
+    def __len__(self) -> int:
+        return len(self._keys)
+
+    @property
+    def keys(self) -> tuple[tuple[str, str], ...]:
+        """``(launch_ff, capture_ff)`` of every pair, in pair order."""
+        return self._keys
 
     @property
     def pairs(self) -> dict[tuple[str, str], PathBounds]:
         """``{(launch_ff, capture_ff): PathBounds}`` for adjacent pairs."""
+        if self._pairs is None:
+            self._pairs = {
+                key: PathBounds(dmin, dmax)
+                for key, dmin, dmax in zip(self._keys, self.d_min, self.d_max)
+            }
         return self._pairs
+
+    def schedule_array(self, schedule: Mapping[str, float]) -> _F64:
+        """``schedule`` as an array over :attr:`flip_flops`; a flip-flop
+        without a target gets 0.0."""
+        get = schedule.get
+        return np.array([get(ff, 0.0) for ff in self.flip_flops], dtype=np.float64)
 
     def bounds(self, launch: str, capture: str) -> PathBounds:
         try:
-            return self._pairs[(launch, capture)]
+            return self.pairs[(launch, capture)]
         except KeyError:
             raise TimingError(
                 f"flip-flops {launch!r} -> {capture!r} are not sequentially adjacent"
@@ -95,7 +164,7 @@ class TimingSnapshot:
     @property
     def max_delay(self) -> float:
         """Largest D_max over all pairs; 0.0 when there are no pairs."""
-        return max((b.d_max for b in self._pairs.values()), default=0.0)
+        return max((b.d_max for b in self.pairs.values()), default=0.0)
 
 
 @dataclass(frozen=True, slots=True)
@@ -140,7 +209,10 @@ class TimingStructure:
     p_src: _I32
     # -- captures (one per sequential pair) ------------------------------
     cap_slot: _I64
+    #: Launch and capture flip-flop of each pair, as indices into
+    #: ``src_names`` (``circuit.flip_flops`` order).
     cap_src: _I32
+    cap_dst: _I32
     pair_keys: tuple[tuple[str, str], ...]
     # -- dirty-set support sets (CSR of sorted unique cell indices) ------
     support_ptr: _I64
@@ -251,6 +323,7 @@ class TimingStructure:
         rec_src: list[int] = []
         cap_slot: list[int] = []
         cap_src: list[int] = []
+        cap_dst: list[int] = []
         pair_keys: list[tuple[str, str]] = []
         support_ptr: list[int] = [0]
         support_cells: list[int] = []
@@ -263,7 +336,7 @@ class TimingStructure:
             src_names.append(ff.name)
             src_cell.append(fi)
             src_slot.append(slot_of[fi])
-            caps: list[tuple[int, int, str]] = []
+            caps: list[tuple[int, int, int]] = []
             stack = [fi]
             while stack:
                 u = stack.pop()
@@ -278,13 +351,7 @@ class TimingStructure:
                         if head < n_cells:
                             stack.append(head)
                         else:
-                            caps.append(
-                                (
-                                    d_topo[head - n_cells],
-                                    hs,
-                                    cell_names[e_sink[pe_edge[k]]],
-                                )
-                            )
+                            caps.append((d_topo[head - n_cells], hs, head - n_cells))
                     rec_lvl.append(lvl_u)
                     rec_tail.append(slot_u)
                     rec_head.append(hs)
@@ -294,10 +361,11 @@ class TimingStructure:
             # Scalar _propagate_from pops nodes in increasing topological
             # index, so its pairs dict gains captures in that order.
             caps.sort()
-            for _, hs, cap_name in caps:
+            for _, hs, cap_ff in caps:
                 cap_slot.append(hs)
                 cap_src.append(src_id)
-                pair_keys.append((ff.name, cap_name))
+                cap_dst.append(cap_ff)
+                pair_keys.append((ff.name, flip_flops[cap_ff].name))
             # Support set: cone cells plus every sink loading a cone
             # driver — pad and primary-output sinks included, because
             # their positions change branch loads and hence gate delays.
@@ -353,6 +421,7 @@ class TimingStructure:
             p_src=_i32(rec_src)[order],
             cap_slot=np.asarray(cap_slot, dtype=np.int64),
             cap_src=_i32(cap_src),
+            cap_dst=_i32(cap_dst),
             pair_keys=tuple(pair_keys),
             support_ptr=np.asarray(support_ptr, dtype=np.int64),
             support_cells=_i32(support_cells),
@@ -465,12 +534,18 @@ class VectorizedTiming:
         self._snapshot: TimingSnapshot | None = None
 
     # ------------------------------------------------------------------
-    def analyze(self, positions: Mapping[str, Point]) -> TimingSnapshot:
-        """Timing at ``positions`` (missing cells default to the origin,
-        as in the scalar engine)."""
+    def analyze(self, x: _F64, y: _F64) -> TimingSnapshot:
+        """Timing at the placement ``(x, y)``, indexed like
+        ``structure.cell_names`` (``list(circuit)`` order)."""
         s = self.structure
         obs = self.collector
-        pos_x, pos_y = self._position_arrays(positions)
+        pos_x = np.array(x, dtype=np.float64)
+        pos_y = np.array(y, dtype=np.float64)
+        if pos_x.shape != (len(s.cell_names),) or pos_y.shape != pos_x.shape:
+            raise TimingError(
+                f"positions must be two arrays of {len(s.cell_names)} "
+                f"coordinates, got shapes {pos_x.shape} and {pos_y.shape}"
+            )
 
         if self._ref_x is None or self._ref_y is None:
             dirty_src: _I64 | None = None  # all sources
@@ -501,28 +576,13 @@ class VectorizedTiming:
         obs.count("sta.sources-reused", s.num_sources - n_dirty)
         obs.gauge("sta.dirty-set-size", n_dirty)
 
-        pairs = {
-            key: PathBounds(dmin, dmax)
-            for key, dmin, dmax in zip(s.pair_keys, self._dmin, self._dmax)
-        }
-        snap = TimingSnapshot(pairs)
+        snap = TimingSnapshot(
+            s.src_names, s.cap_src, s.cap_dst, self._dmin, self._dmax, s.pair_keys
+        )
         self._snapshot = snap
         return snap
 
     # ------------------------------------------------------------------
-    def _position_arrays(self, positions: Mapping[str, Point]) -> tuple[_F64, _F64]:
-        names = self.structure.cell_names
-        n = len(names)
-        xs = np.zeros(n)
-        ys = np.zeros(n)
-        get = positions.get
-        for i, name in enumerate(names):
-            p = get(name)
-            if p is not None:
-                xs[i] = p.x
-                ys[i] = p.y
-        return xs, ys
-
     def _positional_pass(
         self, pos_x: _F64, pos_y: _F64, dirty_src: _I64 | None
     ) -> None:
@@ -652,6 +712,9 @@ class VectorizedTiming:
             self._dmin = state_mn[s.cap_slot]
             self._dmax = state_mx[s.cap_slot]
         else:
+            # Fresh arrays: earlier snapshots keep the values they hold.
+            self._dmin = self._dmin.copy()
+            self._dmax = self._dmax.copy()
             self._dmin[sel_caps] = state_mn[s.cap_slot[sel_caps]]
             self._dmax[sel_caps] = state_mx[s.cap_slot[sel_caps]]
 

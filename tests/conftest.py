@@ -43,7 +43,7 @@ def tiny_placed(tiny_circuit, tech):
     """(region, positions) for the tiny circuit, legalized."""
     region = region_for_circuit(tiny_circuit, tech)
     placer = QuadraticPlacer(tiny_circuit, region)
-    legal = legalize(placer.place(), region)
+    legal = legalize(*placer.place(), placer.movable, region)
     positions = dict(placer.fixed_positions)
     positions.update(legal.positions)
     return region, positions

@@ -94,6 +94,23 @@ class TestAssignment:
         a = realize_assignment(np.array([1, 1, 1]), m, array, positions, targets, TECH)
         assert list(a.ring_occupancy(array)) == [0, 3, 0, 0]
 
+    def test_tapping_wirelength_is_a_sequential_fold(self):
+        """Solution order, left to right, on every interpreter: the
+        built-in ``sum`` is compensated from Python 3.12 on and would read
+        1.0 here."""
+        from types import SimpleNamespace
+
+        wirelengths = {"a": 1e16, "b": 1.0, "c": -1e16}
+        a = Assignment(
+            ff_names=tuple(wirelengths),
+            ring_of={name: 0 for name in wirelengths},
+            solutions={
+                name: SimpleNamespace(wirelength=w)
+                for name, w in wirelengths.items()
+            },
+        )
+        assert a.tapping_wirelength == 0.0
+
     def test_empty_assignment_afd(self):
         a = Assignment(ff_names=(), ring_of={}, solutions={})
         assert a.average_flipflop_distance == 0.0

@@ -15,9 +15,23 @@ from repro.rotary import RingArray, stub_delay
 from repro.timing import PathBounds, skew_constraints, validate_schedule
 
 from oracles.diffconstraints_ref import maximize_slack
+from oracles.evaluation_ref import nearest_point
 
 TECH = DEFAULT_TECHNOLOGY
 T = 1000.0
+
+
+def attract(ring_of, positions, targets, array):
+    """``ring_attractions`` over the flip-flops of ``ring_of``, in order."""
+    ffs = list(ring_of)
+    return ring_attractions(
+        [ring_of[ff] for ff in ffs],
+        [positions[ff].x for ff in ffs],
+        [positions[ff].y for ff in ffs],
+        [targets[ff] for ff in ffs],
+        array,
+        TECH,
+    )
 
 
 def two_ff_pairs() -> dict:
@@ -84,24 +98,21 @@ class TestRingAttractions:
 
     def test_attraction_geometry(self, array):
         positions = {"ff0": Point(100.0, 100.0)}
-        atts = ring_attractions({"ff0": 0}, positions, {"ff0": 0.0}, array, TECH)
-        att = atts["ff0"]
+        atts = attract({"ff0": 0}, positions, {"ff0": 0.0}, array)
         ring = array[0]
-        _, dist = ring.nearest_point(positions["ff0"])
-        assert att.distance == pytest.approx(dist)
-        assert att.stub_delay == pytest.approx(stub_delay(dist, TECH))
-        assert att.achievable_delay == pytest.approx(
-            att.delay_at_point + att.stub_delay
+        _, dist = nearest_point(ring, positions["ff0"])
+        assert atts.distance[0] == pytest.approx(dist)
+        assert atts.stub_delay[0] == pytest.approx(stub_delay(dist, TECH))
+        assert atts.achievable_delay[0] == pytest.approx(
+            atts.delay_at_point[0] + atts.stub_delay[0]
         )
 
     def test_phase_adjustment_near_current_target(self, array):
         """The chosen t_c lands within half a period of the target."""
         positions = {"ff0": Point(100.0, 100.0)}
         for target in (0.0, 400.0, 900.0, 1700.0, -300.0):
-            atts = ring_attractions(
-                {"ff0": 0}, positions, {"ff0": target}, array, TECH
-            )
-            assert abs(atts["ff0"].achievable_delay - target) <= T / 2 + 1e-6
+            atts = attract({"ff0": 0}, positions, {"ff0": target}, array)
+            assert abs(atts.achievable_delay[0] - target) <= T / 2 + 1e-6
 
 
 class TestCostDriven:
@@ -111,9 +122,7 @@ class TestCostDriven:
 
     def _schedule(self, array, mode, pairs, positions, targets, slack=0.0):
         ffs = list(positions)
-        atts = ring_attractions(
-            {ff: 0 for ff in ffs}, positions, targets, array, TECH
-        )
+        atts = attract({ff: 0 for ff in ffs}, positions, targets, array)
         return cost_driven_schedule(
             atts, pairs, ffs, T, TECH, slack=slack, mode=mode
         )
@@ -124,12 +133,10 @@ class TestCostDriven:
         positions = {"a": Point(100.0, 100.0), "b": Point(120.0, 90.0)}
         targets = {"a": 500.0, "b": 500.0}
         sched = self._schedule(array, mode, {}, positions, targets)
-        atts = ring_attractions(
-            {ff: 0 for ff in positions}, positions, targets, array, TECH
-        )
-        for ff in positions:
+        atts = attract({ff: 0 for ff in positions}, positions, targets, array)
+        for k, ff in enumerate(positions):
             assert sched.targets[ff] == pytest.approx(
-                atts[ff].achievable_delay, abs=5.0
+                atts.achievable_delay[k], abs=5.0
             )
 
     @pytest.mark.parametrize("mode", ["minmax", "weighted"])
@@ -156,9 +163,7 @@ class TestCostDriven:
         targets = {"near": 100.0, "far": 100.0}
         # No timing pairs: just check the weighted objective runs and
         # produces finite targets.
-        atts = ring_attractions(
-            {ff: 0 for ff in positions}, positions, targets, array, TECH
-        )
+        atts = attract({ff: 0 for ff in positions}, positions, targets, array)
         sched = cost_driven_schedule(
             atts, {}, list(positions), T, TECH, mode="weighted"
         )

@@ -1,11 +1,12 @@
 """Semantic checks on the cost-driven skew LP objectives."""
 
+from types import SimpleNamespace
+
+import numpy as np
 import pytest
 
 from repro.constants import DEFAULT_TECHNOLOGY
-from repro.core import cost_driven_schedule
-from repro.core.skew_cost_driven import RingAttraction
-from repro.geometry import Point
+from repro.core import RingAttractions, cost_driven_schedule
 from repro.rotary import stub_delay
 from repro.timing import PathBounds
 
@@ -13,13 +14,23 @@ TECH = DEFAULT_TECHNOLOGY
 T = 1000.0
 
 
-def make_attraction(ff: str, t_c: float, distance: float) -> RingAttraction:
-    return RingAttraction(
+def make_attraction(ff: str, t_c: float, distance: float) -> SimpleNamespace:
+    stub = stub_delay(distance, TECH)
+    return SimpleNamespace(
         ff=ff,
-        nearest_point=Point(0.0, 0.0),
         distance=distance,
         delay_at_point=t_c,
-        stub_delay=stub_delay(distance, TECH),
+        stub_delay=stub,
+        achievable_delay=t_c + stub,
+    )
+
+
+def attractions(*atts: SimpleNamespace) -> RingAttractions:
+    """The array form of ``atts``, in the order given."""
+    return RingAttractions(
+        distance=np.array([a.distance for a in atts]),
+        delay_at_point=np.array([a.delay_at_point for a in atts]),
+        stub_delay=np.array([a.stub_delay for a in atts]),
     )
 
 
@@ -29,7 +40,9 @@ class TestMinMaxSemantics:
         inequalities bind equally: Delta* = t_{c,i} (the midpoint of
         [t_c, t_c + 2 t_ci])."""
         att = make_attraction("a", t_c=300.0, distance=80.0)
-        sched = cost_driven_schedule({"a": att}, {}, ["a"], T, TECH, mode="minmax")
+        sched = cost_driven_schedule(
+            attractions(att), {}, ["a"], T, TECH, mode="minmax"
+        )
         t = sched.targets["a"]
         delta_star = max(att.delay_at_point + 2 * att.stub_delay - t, t - att.delay_at_point)
         assert delta_star == pytest.approx(att.stub_delay, abs=1e-6)
@@ -38,7 +51,7 @@ class TestMinMaxSemantics:
         near = make_attraction("near", t_c=100.0, distance=5.0)
         far = make_attraction("far", t_c=700.0, distance=150.0)
         sched = cost_driven_schedule(
-            {"near": near, "far": far}, {}, ["near", "far"], T, TECH, mode="minmax"
+            attractions(near, far), {}, ["near", "far"], T, TECH, mode="minmax"
         )
         # Delta is set by the far flip-flop's larger stub delay.
         t_far = sched.targets["far"]
@@ -55,7 +68,9 @@ class TestWeightedSemantics:
             "a": make_attraction("a", 200.0, 40.0),
             "b": make_attraction("b", 650.0, 15.0),
         }
-        sched = cost_driven_schedule(atts, {}, ["a", "b"], T, TECH, mode="weighted")
+        sched = cost_driven_schedule(
+            attractions(*atts.values()), {}, ["a", "b"], T, TECH, mode="weighted"
+        )
         for ff, att in atts.items():
             assert sched.targets[ff] == pytest.approx(att.achievable_delay, abs=1e-6)
 
@@ -74,7 +89,7 @@ class TestWeightedSemantics:
             ),
         }
         sched = cost_driven_schedule(
-            {"near": near, "far": far}, pairs, ["near", "far"], T, TECH,
+            attractions(near, far), pairs, ["near", "far"], T, TECH,
             mode="weighted",
         )
         err_far = abs(sched.targets["far"] - far.achievable_delay)

@@ -5,7 +5,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.geometry import Point, hpwl_by_net, hpwl_from_arrays, net_hpwl, total_hpwl
+from repro.geometry import (
+    Point,
+    hpwl_by_net,
+    hpwl_from_arrays,
+    net_hpwl,
+    pin_index,
+    total_hpwl,
+)
 
 coords = st.floats(-1e5, 1e5, allow_nan=False, allow_infinity=False)
 
@@ -49,12 +56,12 @@ class TestAggregates:
         y = np.array([0.0, 4.0, 1.0, 0.0])
         members = [[0, 1], [2, 3], [0, 1, 2, 3]]
         expected = 7.0 + 5.0 + (5.0 + 4.0)
-        assert hpwl_from_arrays(x, y, members) == pytest.approx(expected)
+        assert hpwl_from_arrays(x, y, *pin_index(members)) == expected
 
     def test_hpwl_from_arrays_skips_singletons(self):
         x = np.array([0.0, 1.0])
         y = np.array([0.0, 1.0])
-        assert hpwl_from_arrays(x, y, [[0]]) == 0.0
+        assert hpwl_from_arrays(x, y, *pin_index([[0]])) == 0.0
 
     def test_hpwl_by_net_ignores_missing(self):
         positions = {"a": Point(0, 0), "b": Point(1, 2)}

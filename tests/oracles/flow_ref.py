@@ -13,15 +13,17 @@ select the slow path.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import Iterator, Mapping
+from typing import Iterator
 from unittest import mock
+
+import numpy as np
 
 from repro.constants import Technology
 from repro.core import flow
-from repro.geometry import Point
+from repro.geometry import position_dict
 from repro.netlist import Circuit
 from repro.obs import NULL_COLLECTOR, Collector
-from repro.timing import SequentialTiming
+from repro.timing import SequentialTiming, TimingSnapshot
 
 from oracles.placer_ref import TripletsPlacer
 
@@ -29,7 +31,8 @@ from oracles.placer_ref import TripletsPlacer
 class ScalarTiming:
     """Stands in for :class:`~repro.timing.VectorizedTiming`: every
     :meth:`analyze` call rebuilds a :class:`SequentialTiming` from
-    scratch (no cached structure, no dirty set)."""
+    scratch (no cached structure, no dirty set) and hands its pairs over
+    as a :class:`~repro.timing.TimingSnapshot`."""
 
     def __init__(
         self,
@@ -41,9 +44,13 @@ class ScalarTiming:
     ) -> None:
         self.circuit = circuit
         self.tech = tech
+        self._names = tuple(cell.name for cell in circuit)
+        self._flip_flops = [ff.name for ff in circuit.flip_flops]
 
-    def analyze(self, positions: Mapping[str, Point]) -> SequentialTiming:
-        return SequentialTiming(self.circuit, positions, self.tech)
+    def analyze(self, x: np.ndarray, y: np.ndarray) -> TimingSnapshot:
+        positions = position_dict(self._names, x, y)
+        pairs = SequentialTiming(self.circuit, positions, self.tech).pairs
+        return TimingSnapshot.from_pairs(pairs, self._flip_flops)
 
 
 @contextmanager

@@ -11,19 +11,46 @@ returns (positions, their dict order, and both displacement totals).
 from __future__ import annotations
 
 from bisect import bisect_left
+from dataclasses import dataclass
 from typing import Mapping
+
+import numpy as np
 
 from repro.errors import PlacementError
 from repro.geometry import Point
+from repro.placement import legalize as legalize_arrays
 from repro.placement.legalize import LegalizationResult
 from repro.placement.region import PlacementRegion
+
+
+@dataclass(frozen=True, slots=True)
+class PointsResult:
+    """The oracle's result form: legal positions in placing order."""
+
+    positions: dict[str, Point]
+    total_displacement: float
+    max_displacement: float
+
+
+def legalize_points(
+    global_positions: Mapping[str, Point], region: PlacementRegion
+) -> LegalizationResult:
+    """The production legalizer over a ``{name: Point}`` mapping, the
+    input form this oracle takes."""
+    names = list(global_positions)
+    return legalize_arrays(
+        np.array([p.x for p in global_positions.values()], dtype=np.float64),
+        np.array([p.y for p in global_positions.values()], dtype=np.float64),
+        names,
+        region,
+    )
 
 
 def legalize(
     global_positions: Mapping[str, Point],
     region: PlacementRegion,
     row_search_radius: int = 8,
-) -> LegalizationResult:
+) -> PointsResult:
     """Legalize ``global_positions`` onto the region's row/site grid.
 
     Raises :class:`PlacementError` if the region cannot hold the cells.
@@ -74,7 +101,7 @@ def legalize(
         d = p.manhattan(q)
         total_disp += d
         max_disp = max(max_disp, d)
-    return LegalizationResult(out, total_disp, max_disp)
+    return PointsResult(out, total_disp, max_disp)
 
 
 def _nearest_free_site(free: list[int], target: int) -> int | None:

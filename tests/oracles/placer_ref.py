@@ -12,13 +12,36 @@ the production placer must return exactly the positions this one does
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Iterable, Mapping
 
 import numpy as np
 import scipy.sparse as sp
 
-from repro.placement import QuadraticPlacer
+from repro.geometry import Point, position_arrays, position_dict
+from repro.placement import PseudoNet, QuadraticPlacer
 from repro.placement.quadratic import _EPS_ANCHOR, AnchorArrays
+
+
+def placed(
+    placer: QuadraticPlacer,
+    pseudo_nets: Iterable[PseudoNet] = (),
+    stability_anchors: Mapping[str, Point] | None = None,
+    stability_weight: float = 0.0,
+) -> dict[str, Point]:
+    """``placer.place`` with name-keyed inputs and output, the form the
+    placer tests compare."""
+    return position_dict(
+        placer.movable,
+        *placer.place(
+            pseudo_nets=placer.pseudo_net_arrays(pseudo_nets),
+            stability_anchors=(
+                None
+                if stability_anchors is None
+                else position_arrays(placer.movable, stability_anchors)
+            ),
+            stability_weight=stability_weight,
+        ),
+    )
 
 
 class TripletsPlacer(QuadraticPlacer):
@@ -28,12 +51,11 @@ class TripletsPlacer(QuadraticPlacer):
     def _solve_axis(
         self,
         axis: int,
-        anchors: "Sequence[tuple[int, float, float]] | AnchorArrays",
+        anchors: AnchorArrays,
         warm: np.ndarray | None,
     ) -> np.ndarray:
-        """Solve one coordinate axis.  ``anchors`` = (cell, target, weight)."""
-        if isinstance(anchors, tuple):  # the spreading levels pass arrays
-            anchors = list(zip(anchors[0].tolist(), anchors[1], anchors[2]))
+        """Solve one coordinate axis.  ``anchors`` = (cells, targets, weights)."""
+        rows_of = zip(anchors[0].tolist(), anchors[1].tolist(), anchors[2].tolist())
         n = len(self._movable)
         n_aux = len(self._star_nets)
         size = n + n_aux
@@ -73,7 +95,7 @@ class TripletsPlacer(QuadraticPlacer):
         center = (self.region.bbox.center.x, self.region.bbox.center.y)[axis]
         for i in range(size):
             add(i, None, _EPS_ANCHOR, center)
-        for i, target, w in anchors:
+        for i, target, w in rows_of:
             add(i, None, w, target)
 
         A = sp.csr_matrix((vals, (rows, cols)), shape=(size, size))

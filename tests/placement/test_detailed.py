@@ -71,7 +71,7 @@ class TestRefinePlacement:
         """A raw Tetris legalization leaves gains on the table."""
         region = region_for_circuit(tiny_circuit, TECH)
         placer = QuadraticPlacer(tiny_circuit, region)
-        legal = legalize(placer.place(), region)
+        legal = legalize(*placer.place(), placer.movable, region)
         positions = dict(placer.fixed_positions)
         positions.update(legal.positions)
         result = refine_placement(tiny_circuit, region, positions)

@@ -3,15 +3,27 @@
 import pytest
 
 from repro.constants import DEFAULT_TECHNOLOGY
-from repro.geometry import Point
+from repro.geometry import Point, position_arrays
 from repro.placement import (
     IncrementalOptions,
     PseudoNet,
+    QuadraticPlacer,
     incremental_place,
     placement_perturbation,
 )
 
 TECH = DEFAULT_TECHNOLOGY
+
+
+def place_again(circuit, region, previous, pseudo_nets=(), options=None):
+    """``incremental_place`` from a ``{name: Point}`` placement."""
+    placer = QuadraticPlacer(circuit, region)
+    return incremental_place(
+        placer,
+        position_arrays(placer.movable, previous),
+        placer.pseudo_net_arrays(pseudo_nets),
+        options,
+    )
 
 
 class TestIncrementalPlace:
@@ -23,8 +35,8 @@ class TestIncrementalPlace:
             for n in positions
             if n in {c.name for c in tiny_circuit.standard_cells}
         }
-        result = incremental_place(
-            tiny_circuit, region, movable, pseudo_nets=[],
+        result = place_again(
+            tiny_circuit, region, movable,
             options=IncrementalOptions(stability_weight=0.5),
         )
         drift = placement_perturbation(movable, result.positions)
@@ -39,14 +51,14 @@ class TestIncrementalPlace:
         corner = Point(region.bbox.xlo + 1.0, region.bbox.ylo + 1.0)
         ffs = [ff.name for ff in tiny_circuit.flip_flops]
         pseudo = [PseudoNet(ff, corner, weight=5.0) for ff in ffs]
-        result = incremental_place(tiny_circuit, region, positions, pseudo)
+        result = place_again(tiny_circuit, region, positions, pseudo)
         before = sum(positions[f].manhattan(corner) for f in ffs)
         after = sum(result.positions[f].manhattan(corner) for f in ffs)
         assert after < before
 
     def test_result_is_legal(self, tiny_circuit, tiny_placed):
         region, positions = tiny_placed
-        result = incremental_place(tiny_circuit, region, positions, [])
+        result = place_again(tiny_circuit, region, positions)
         spots = {(round(p.x, 6), round(p.y, 6)) for p in result.positions.values()}
         assert len(spots) == len(result.positions)
 

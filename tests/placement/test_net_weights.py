@@ -28,7 +28,7 @@ from repro.placement import (
     region_for_circuit,
 )
 
-from oracles.placer_ref import TripletsPlacer
+from oracles.placer_ref import TripletsPlacer, placed
 
 TECH = DEFAULT_TECHNOLOGY
 
@@ -82,8 +82,8 @@ class TestAllOnesIsUnweighted:
     def test_all_ones_subset(self, subset, assembly):
         weights = {name: 1.0 for name in subset}
         assert_identical(
-            make_placer(assembly, weights).place(),
-            make_placer(assembly).place(),
+            placed(make_placer(assembly, weights)),
+            placed(make_placer(assembly)),
         )
 
     @pytest.mark.parametrize("assembly", ["prefactored", "triplets"])
@@ -91,18 +91,18 @@ class TestAllOnesIsUnweighted:
         weights = {name: 1.0 for name in NET_NAMES}
         kwargs = anchor_kwargs(seed=17)
         assert_identical(
-            make_placer(assembly, weights).place(**kwargs),
-            make_placer(assembly).place(**kwargs),
+            placed(make_placer(assembly, weights), **kwargs),
+            placed(make_placer(assembly), **kwargs),
         )
 
     @pytest.mark.parametrize("assembly", ["prefactored", "triplets"])
     def test_set_to_ones_restores_default(self, assembly):
         placer = make_placer(assembly)
-        baseline = placer.place()
+        baseline = placed(placer)
         placer.set_net_weights({NET_NAMES[0]: 4.0})
-        assert placer.place() != baseline  # the weight genuinely acts
+        assert placed(placer) != baseline  # the weight genuinely acts
         placer.set_net_weights({name: 1.0 for name in NET_NAMES})
-        assert_identical(placer.place(), baseline)
+        assert_identical(placed(placer), baseline)
 
 
 class TestWeightedBitIdentity:
@@ -114,8 +114,8 @@ class TestWeightedBitIdentity:
     def test_prefactored_matches_triplets(self):
         kwargs = anchor_kwargs(seed=23)
         assert_identical(
-            make_placer("prefactored", self.WEIGHTS).place(**kwargs),
-            make_placer("triplets", self.WEIGHTS).place(**kwargs),
+            placed(make_placer("prefactored", self.WEIGHTS), **kwargs),
+            placed(make_placer("triplets", self.WEIGHTS), **kwargs),
         )
 
     @pytest.mark.parametrize("assembly", ["prefactored", "triplets"])
@@ -124,7 +124,7 @@ class TestWeightedBitIdentity:
         updated.set_net_weights(self.WEIGHTS)
         assert updated.net_weights == self.WEIGHTS
         assert_identical(
-            updated.place(), make_placer(assembly, self.WEIGHTS).place()
+            placed(updated), placed(make_placer(assembly, self.WEIGHTS))
         )
 
 
@@ -140,11 +140,11 @@ class TestValidation:
     @pytest.mark.parametrize("bad", [math.nan, -1.0])
     def test_set_net_weights_rejects(self, bad):
         placer = make_placer("prefactored")
-        before = placer.place()
+        before = placed(placer)
         with pytest.raises(PlacementError, match=repr(NET_NAMES[1])):
             placer.set_net_weights({NET_NAMES[1]: bad})
         # a rejected update must not corrupt the placer
-        assert_identical(placer.place(), before)
+        assert_identical(placed(placer), before)
 
     def test_unknown_net(self):
         with pytest.raises(PlacementError, match="no_such_net"):
@@ -158,7 +158,7 @@ class TestValidation:
         ff = CIRCUIT.flip_flops[0].name
         pseudo = [PseudoNet(cell=ff, anchor=Point(1.0, 1.0), weight=bad)]
         with pytest.raises(PlacementError, match=repr(ff)):
-            placer.place(pseudo_nets=pseudo)
+            placed(placer, pseudo_nets=pseudo)
 
     def test_negative_pseudo_net_weight_rejected_at_construction(self):
         with pytest.raises(ValueError, match="non-negative"):
@@ -169,4 +169,4 @@ class TestValidation:
         placer = make_placer("prefactored")
         anchors = {c.name: Point(1.0, 1.0) for c in CIRCUIT.standard_cells}
         with pytest.raises(PlacementError, match="stability anchor weight"):
-            placer.place(stability_anchors=anchors, stability_weight=bad)
+            placed(placer, stability_anchors=anchors, stability_weight=bad)

@@ -25,7 +25,7 @@ from repro.placement import (
     region_for_circuit,
 )
 
-from oracles.placer_ref import TripletsPlacer
+from oracles.placer_ref import TripletsPlacer, placed
 
 TECH = DEFAULT_TECHNOLOGY
 
@@ -49,7 +49,7 @@ class TestAssemblyBitIdentity:
             small_profile(num_cells=160, num_flipflops=20, seed=2)
         )
         _, pre, tri = make_placers(circuit)
-        assert_identical(pre.place(), tri.place())
+        assert_identical(placed(pre), placed(tri))
 
     def test_with_pseudo_nets_and_stability_anchors(self):
         circuit = generate_circuit(
@@ -79,7 +79,7 @@ class TestAssemblyBitIdentity:
         kwargs = dict(
             pseudo_nets=pseudo, stability_anchors=anchors, stability_weight=0.02
         )
-        assert_identical(pre.place(**kwargs), tri.place(**kwargs))
+        assert_identical(placed(pre, **kwargs), placed(tri, **kwargs))
 
     def test_repeated_calls_reuse_base(self):
         """Back-to-back place() calls (warm-started) stay identical too."""
@@ -87,17 +87,19 @@ class TestAssemblyBitIdentity:
             small_profile(num_cells=160, num_flipflops=20, seed=6)
         )
         _, pre, tri = make_placers(circuit)
-        first_pre, first_tri = pre.place(), tri.place()
+        first_pre, first_tri = placed(pre), placed(tri)
         assert_identical(first_pre, first_tri)
         ff0 = circuit.flip_flops[0].name
         pseudo = [PseudoNet(cell=ff0, anchor=Point(5.0, 5.0), weight=0.7)]
         assert_identical(
-            pre.place(
+            placed(
+                pre,
                 pseudo_nets=pseudo,
                 stability_anchors=first_pre,
                 stability_weight=0.02,
             ),
-            tri.place(
+            placed(
+                tri,
                 pseudo_nets=pseudo,
                 stability_anchors=first_tri,
                 stability_weight=0.02,
@@ -113,16 +115,18 @@ class TestIncrementalPlacerReuse:
         region = region_for_circuit(circuit, TECH)
         placer = QuadraticPlacer(circuit, region)
         previous = placer.place()
-        pseudo = [
-            PseudoNet(
-                cell=circuit.flip_flops[0].name,
-                anchor=Point(10.0, 10.0),
-                weight=0.5,
-            )
-        ]
-        opts = IncrementalOptions()
-        reused = incremental_place(
-            circuit, region, previous, pseudo, opts, placer=placer
+        pseudo = placer.pseudo_net_arrays(
+            [
+                PseudoNet(
+                    cell=circuit.flip_flops[0].name,
+                    anchor=Point(10.0, 10.0),
+                    weight=0.5,
+                )
+            ]
         )
-        fresh = incremental_place(circuit, region, previous, pseudo, opts)
+        opts = IncrementalOptions()
+        reused = incremental_place(placer, previous, pseudo, opts)
+        fresh = incremental_place(
+            QuadraticPlacer(circuit, region), previous, pseudo, opts
+        )
         assert_identical(reused.positions, fresh.positions)

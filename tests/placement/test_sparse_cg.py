@@ -14,6 +14,7 @@ flow's ring assignment and schedule.
 import pytest
 
 from repro.constants import DEFAULT_TECHNOLOGY
+from repro.geometry import position_dict
 from repro.netlist import PROFILE_ORDER, generate_named
 from repro.placement import PlacerOptions, QuadraticPlacer, region_for_circuit
 import repro.placement.quadratic as quadratic_mod
@@ -31,7 +32,7 @@ POSITION_TOL_UM = 1e-3
 def _place(circuit, mode, **opts):
     region = region_for_circuit(circuit, TECH)
     placer = QuadraticPlacer(circuit, region, PlacerOptions(solver=mode, **opts))
-    return placer.place()
+    return position_dict(placer.movable, *placer.place())
 
 
 def assert_close(a: dict, b: dict, tol: float = POSITION_TOL_UM) -> None:

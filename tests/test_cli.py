@@ -86,6 +86,21 @@ class TestFlowErrors:
         err = capsys.readouterr().err
         assert err == f"repro run: [Errno 2] No such file or directory: '{target}'\n"
 
+    def test_unwritable_render_output_is_usage_error_before_the_flow(
+        self, monkeypatch, tmp_path, capsys
+    ):
+        from repro import cli
+
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("the flow ran")
+
+        monkeypatch.setattr(cli, "run_flow", must_not_run)
+        target = tmp_path / "no_such_dir" / "x.svg"
+        argv = ["render", "s5378", "--iterations", "1", "--output", str(target)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err == f"repro render: [Errno 2] No such file or directory: '{target}'\n"
+
     def test_failed_run_leaves_no_saved_file(self, monkeypatch, tmp_path, capsys):
         from repro import cli
         from repro.errors import InfeasibleError

@@ -14,6 +14,7 @@ from repro.netlist import CellKind, Circuit
 from repro.timing import (
     CriticalPathExtractor,
     PathBounds,
+    TimingSnapshot,
     critical_net_weights,
     pair_slacks,
     worst_pair_slack,
@@ -21,6 +22,27 @@ from repro.timing import (
 
 TECH = DEFAULT_TECHNOLOGY
 PERIOD = 1000.0
+
+
+def snapshot(pairs) -> TimingSnapshot:
+    """The snapshot of ``pairs`` over their flip-flops, sorted."""
+    return TimingSnapshot.from_pairs(pairs, sorted({ff for key in pairs for ff in key}))
+
+
+def slacks_by_pair(pairs, schedule) -> dict:
+    snap = snapshot(pairs)
+    values = pair_slacks(snap, snap.schedule_array(schedule), PERIOD, TECH)
+    return dict(zip(snap.keys, values.tolist()))
+
+
+def worst(pairs, schedule) -> float:
+    snap = snapshot(pairs)
+    return worst_pair_slack(snap, snap.schedule_array(schedule), PERIOD, TECH)
+
+
+def extract(x, pairs, schedule, k):
+    snap = snapshot(pairs)
+    return x.extract(snap, snap.schedule_array(schedule), PERIOD, TECH, k=k)
 
 
 def branchy_circuit() -> Circuit:
@@ -80,21 +102,19 @@ class TestSlacks:
     }
 
     def test_pair_slack_formula(self):
-        slacks = pair_slacks(self.BOUNDS, {"a": 0.0, "b": 0.0}, PERIOD, TECH)
+        slacks = slacks_by_pair(self.BOUNDS, {"a": 0.0, "b": 0.0})
         hi = PERIOD - 100.0 - TECH.setup_time
         lo = TECH.hold_time - 10.0
         assert slacks[("a", "b")] == pytest.approx(min(hi - 0.0, 0.0 - lo))
 
     def test_missing_schedule_entries_default_to_zero_skew(self):
-        explicit = pair_slacks(self.BOUNDS, {"a": 0.0, "c": 0.0}, PERIOD, TECH)
-        assert pair_slacks(self.BOUNDS, {}, PERIOD, TECH) == explicit
+        explicit = slacks_by_pair(self.BOUNDS, {"a": 0.0, "c": 0.0})
+        assert slacks_by_pair(self.BOUNDS, {}) == explicit
 
     def test_worst_pair_slack(self):
-        slacks = pair_slacks(self.BOUNDS, {}, PERIOD, TECH)
-        assert worst_pair_slack(self.BOUNDS, {}, PERIOD, TECH) == min(
-            slacks.values()
-        )
-        assert worst_pair_slack({}, {}, PERIOD, TECH) == 0.0
+        slacks = slacks_by_pair(self.BOUNDS, {})
+        assert worst(self.BOUNDS, {}) == min(slacks.values())
+        assert worst({}, {}) == 0.0
 
 
 class TestExtract:
@@ -111,7 +131,7 @@ class TestExtract:
         }
 
     def extract(self, k):
-        return self.x.extract(self.pairs, {}, PERIOD, TECH, k=k)
+        return extract(self.x, self.pairs, {}, k)
 
     def test_ranked_by_slack(self):
         got = [(p.launch, p.capture) for p in self.extract(3)]
@@ -132,7 +152,7 @@ class TestExtract:
     def test_tie_breaks_on_pair_key(self):
         same = {k: PathBounds(d_min=20.0, d_max=300.0) for k in self.pairs}
         got = [(p.launch, p.capture) for p in
-               self.x.extract(same, {}, PERIOD, TECH, k=3)]
+               extract(self.x, same, {}, 3)]
         assert got == sorted(self.pairs)
 
 
@@ -143,7 +163,7 @@ class TestCriticalNetWeights:
             ("ffa", "ffb"): PathBounds(d_min=20.0, d_max=500.0),
             ("ffa", "ffc"): PathBounds(d_min=20.0, d_max=500.0),
         }
-        critical = x.extract(pairs, {}, PERIOD, TECH, k=2)
+        critical = extract(x, pairs, {}, 2)
         weights = critical_net_weights(critical, 3.0)
         # "ffa" lies on both pairs' paths but gets the weight once.
         assert weights["ffa"] == 3.0

@@ -44,7 +44,7 @@ def test_dmin_le_dmax_and_positive(seed):
     )
     region = region_for_circuit(circuit, TECH)
     placer = QuadraticPlacer(circuit, region)
-    legal = legalize(placer.place(), region)
+    legal = legalize(*placer.place(), placer.movable, region)
     positions = dict(placer.fixed_positions)
     positions.update(legal.positions)
     timing = SequentialTiming(circuit, positions, TECH)
@@ -58,7 +58,7 @@ def test_placement_only_changes_delays_not_pairs():
     at_origin = SequentialTiming(circuit, {}, TECH)
     region = region_for_circuit(circuit, TECH)
     placer = QuadraticPlacer(circuit, region)
-    legal = legalize(placer.place(), region)
+    legal = legalize(*placer.place(), placer.movable, region)
     positions = dict(placer.fixed_positions)
     positions.update(legal.positions)
     placed = SequentialTiming(circuit, positions, TECH)

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from repro.constants import DEFAULT_TECHNOLOGY
 from repro.errors import CombinationalCycleError, TimingError
-from repro.geometry import Point
+from repro.geometry import Point, position_arrays
 from repro.netlist import (
     PROFILE_ORDER,
     CellKind,
@@ -35,6 +35,14 @@ from repro.timing import (
 
 TECH = DEFAULT_TECHNOLOGY
 TOL = 1e-9
+
+
+def analyze(engine: VectorizedTiming, positions) -> TimingSnapshot:
+    """``engine.analyze`` at a ``{name: Point}`` placement (a cell without
+    a position sits at the origin)."""
+    return engine.analyze(
+        *position_arrays(engine.structure.cell_names, positions)
+    )
 
 
 def random_positions(circuit: Circuit, seed: int) -> dict[str, Point]:
@@ -60,13 +68,13 @@ class TestBundledCircuits:
         circuit = generate_named(name)
         positions = random_positions(circuit, seed=hash(name) & 0xFFFF)
         scalar = SequentialTiming(circuit, positions, TECH)
-        snap = VectorizedTiming(circuit, TECH).analyze(positions)
+        snap = analyze(VectorizedTiming(circuit, TECH), positions)
         assert_equivalent(scalar, snap)
 
     def test_matches_scalar_at_origin(self):
         circuit = generate_named("s9234")
         scalar = SequentialTiming(circuit, {}, TECH)
-        snap = VectorizedTiming(circuit, TECH).analyze({})
+        snap = analyze(VectorizedTiming(circuit, TECH), {})
         assert_equivalent(scalar, snap)
 
 
@@ -75,7 +83,7 @@ class TestSnapshotApi:
         circuit = generate_named("s5378")
         positions = random_positions(circuit, seed=1)
         scalar = SequentialTiming(circuit, positions, TECH)
-        snap = VectorizedTiming(circuit, TECH).analyze(positions)
+        snap = analyze(VectorizedTiming(circuit, TECH), positions)
         key = next(iter(scalar.pairs))
         assert snap.bounds(*key).d_max == pytest.approx(
             scalar.bounds(*key).d_max, abs=TOL
@@ -84,7 +92,7 @@ class TestSnapshotApi:
 
     def test_missing_pair_raises_timing_error(self):
         circuit = generate_named("s5378")
-        snap = VectorizedTiming(circuit, TECH).analyze({})
+        snap = analyze(VectorizedTiming(circuit, TECH), {})
         with pytest.raises(TimingError, match="not sequentially adjacent"):
             snap.bounds("no_such_ff", "nor_this_one")
 
@@ -95,14 +103,14 @@ class TestDirtySetIncremental:
         circuit = generate_named("s5378")
         engine = VectorizedTiming(circuit, TECH)
         positions = random_positions(circuit, seed=7)
-        engine.analyze(positions)
+        analyze(engine, positions)
 
         rng = random.Random(8)
         moved = dict(positions)
         for name in rng.sample(sorted(positions), 25):
             moved[name] = Point(rng.uniform(0.0, 4000.0), rng.uniform(0.0, 4000.0))
-        incremental = engine.analyze(moved)
-        fresh = VectorizedTiming(circuit, TECH).analyze(moved)
+        incremental = analyze(engine, moved)
+        fresh = analyze(VectorizedTiming(circuit, TECH), moved)
         scalar = SequentialTiming(circuit, moved, TECH)
         assert_equivalent(scalar, incremental)
         assert_equivalent(scalar, fresh)
@@ -112,21 +120,21 @@ class TestDirtySetIncremental:
         circuit = generate_named("s5378")
         engine = VectorizedTiming(circuit, TECH)
         positions = random_positions(circuit, seed=5)
-        engine.analyze(positions)
+        analyze(engine, positions)
         rng = random.Random(6)
         for axis in ("x", "y"):
             for name in rng.sample(sorted(positions), 10):
                 p, v = positions[name], rng.uniform(0.0, 4000.0)
                 positions[name] = Point(v, p.y) if axis == "x" else Point(p.x, v)
-            snap = engine.analyze(positions)
+            snap = analyze(engine, positions)
             assert_equivalent(SequentialTiming(circuit, positions, TECH), snap)
 
     def test_no_movement_reuses_snapshot(self):
         circuit = generate_named("s5378")
         engine = VectorizedTiming(circuit, TECH)
         positions = random_positions(circuit, seed=3)
-        first = engine.analyze(positions)
-        second = engine.analyze(dict(positions))
+        first = analyze(engine, positions)
+        second = analyze(engine, dict(positions))
         assert second is first
 
     def test_epsilon_zero_is_exact_over_many_passes(self):
@@ -140,7 +148,7 @@ class TestDirtySetIncremental:
                 positions[name] = Point(
                     rng.uniform(0.0, 4000.0), rng.uniform(0.0, 4000.0)
                 )
-            snap = engine.analyze(positions)
+            snap = analyze(engine, positions)
         scalar = SequentialTiming(circuit, positions, TECH)
         assert_equivalent(scalar, snap)
 
@@ -182,5 +190,5 @@ def test_property_random_circuits_and_positions(seed):
     )
     positions = random_positions(circuit, seed=seed ^ 0x5A5A)
     scalar = SequentialTiming(circuit, positions, TECH)
-    snap = VectorizedTiming(circuit, TECH).analyze(positions)
+    snap = analyze(VectorizedTiming(circuit, TECH), positions)
     assert_equivalent(scalar, snap)
