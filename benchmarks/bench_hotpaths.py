@@ -13,8 +13,9 @@ implementations kept under ``tests/oracles/`` and fails on regression:
   ``tests/oracles/legalize_ref.py`` on the stage-1 global placement
   (identical results, >= 2x faster on s5378 and s9234);
 * the ring-attraction, signal-HPWL and worst-pair-slack array kernels
-  vs the per-flip-flop, per-net and per-pair loops of
-  ``tests/oracles/evaluation_ref.py``, on the state of a one-iteration
+  vs the per-flip-flop and per-pair loops of
+  ``tests/oracles/evaluation_ref.py`` and the per-net loop of
+  ``repro.core.signal_wirelength``, on the state of a one-iteration
   flow (identical output, >= 5x faster on s5378 and s9234, with the
   inputs already in array form outside the timed region).
 
@@ -36,8 +37,19 @@ import numpy as np
 import pytest
 
 from repro.constants import DEFAULT_TECHNOLOGY
-from repro.core import FlowOptions, IntegratedFlow, net_pins, ring_attractions
-from repro.geometry import Point, hpwl_from_arrays, position_arrays, position_dict
+from repro.core import (
+    FlowOptions,
+    IntegratedFlow,
+    ring_attractions,
+    signal_wirelength,
+)
+from repro.geometry import (
+    Point,
+    hpwl_from_arrays,
+    pin_index,
+    position_arrays,
+    position_dict,
+)
 from repro.netlist import PROFILES, generate_named
 from repro.placement import (
     PseudoNet,
@@ -151,16 +163,16 @@ def test_legalize_speedup(name):
     placer = QuadraticPlacer(circuit, region)
     gx, gy = placer.place()
     global_positions = position_dict(placer.movable, gx, gy)
-    names, rank = placer.movable, placer.name_rank
+    names = placer.movable
 
     expected = legalize_ref(global_positions, region)
-    got = legalize(gx, gy, names, region, rank)
+    got = legalize(gx, gy, names, region)
     assert list(got.positions.items()) == list(expected.positions.items())
     assert got.total_displacement == expected.total_displacement
     assert got.max_displacement == expected.max_displacement
 
     oracle_s = _best_of(lambda: legalize_ref(global_positions, region), rounds=5)
-    walk_s = _best_of(lambda: legalize(gx, gy, names, region, rank), rounds=5)
+    walk_s = _best_of(lambda: legalize(gx, gy, names, region), rounds=5)
     speedup = oracle_s / walk_s
     RESULTS.setdefault("legalize", {})[name] = {
         "oracle_scan_s": oracle_s,
@@ -230,13 +242,16 @@ def test_signal_hpwl_kernel(name):
     circuit, result, _ = _flow_state(name)
     names = tuple(cell.name for cell in circuit)
     x, y = position_arrays(names, result.positions)
-    ptr, pins = net_pins(circuit)
+    index = {name: i for i, name in enumerate(names)}
+    ptr, pins = pin_index(
+        [index[m] for m in net.members] for net in circuit.nets.values()
+    )
 
     def vectorized():
         return hpwl_from_arrays(x, y, ptr, pins)
 
     def oracle():
-        return evaluation_ref.signal_wirelength(circuit, result.positions)
+        return signal_wirelength(circuit, result.positions)
 
     assert vectorized() == oracle() == result.final.signal_wirelength
     _record_kernel("signal_hpwl", name, oracle, vectorized)

@@ -19,7 +19,6 @@ from .cost import (
     Assignment,
     TappingCostCache,
     TappingCostMatrix,
-    net_pins,
     realize_assignment,
     signal_wirelength,
     tapping_cost_matrix,
@@ -55,7 +54,6 @@ __all__ = [
     "tapping_cost_matrix",
     "Assignment",
     "realize_assignment",
-    "net_pins",
     "signal_wirelength",
     "wirelength_capacitance_product",
     "assign_min_tapping_cost",

@@ -32,13 +32,7 @@ import numpy.typing as npt
 
 from ..constants import Technology
 from ..errors import CostMatrixError, TappingError
-from ..geometry import (
-    Point,
-    hpwl_from_arrays,
-    net_steiner_wl,
-    pin_index,
-    position_arrays,
-)
+from ..geometry import Point, net_hpwl, net_steiner_wl
 from ..netlist import Circuit
 from ..obs import NULL_COLLECTOR, Collector
 from ..opt.mincostflow import FORBIDDEN_COST
@@ -270,11 +264,14 @@ class TappingCostCache:
         self._key: dict[str, tuple[float, float, float]] = {}
         #: Cached dense cost row per flip-flop.
         self._row: dict[str, npt.NDArray[np.float64]] = {}
-        #: Cached solutions per flip-flop: the batch result and, per ring,
-        #: the pair index into it (-1 for a pruned ring).  Materialized
-        #: into :class:`TappingSolution` lazily — only the assigned ring
-        #: of each flip-flop is ever realized.
-        self._solutions: dict[str, tuple[_TappingBatch, npt.NDArray[np.int32]]] = {}
+        #: Cached solutions per flip-flop: the batch result (``None`` when
+        #: the batch had no candidate arc) and, per ring, the pair index
+        #: into it (-1 for a pruned ring).  Materialized into
+        #: :class:`TappingSolution` lazily — only the assigned ring of
+        #: each flip-flop is ever realized.
+        self._solutions: dict[
+            str, tuple[_TappingBatch | None, npt.NDArray[np.int32]]
+        ] = {}
         self.hits = 0
         self.misses = 0
 
@@ -313,8 +310,7 @@ class TappingCostCache:
         for i, name in enumerate(names):
             self._key[name] = self._row_key(positions[name], targets[name])
             self._row[name] = rows_arr[i]
-            if result is not None:
-                self._solutions[name] = (result, pair_of[i])
+            self._solutions[name] = (result, pair_of[i])
 
     def _evict_stale(self, live: Sequence[str]) -> None:
         stale = set(self._key) - set(live)
@@ -325,7 +321,9 @@ class TappingCostCache:
         """The cached solution of ``name`` on ``ring_id``, if solved."""
         result, pair_of = self._solutions[name]
         p = int(pair_of[ring_id])
-        return result.solution(p) if p >= 0 else None
+        if result is None or p < 0:
+            return None
+        return result.solution(p)
 
     # -- public -------------------------------------------------------
     def matrix(
@@ -505,19 +503,6 @@ def realize_assignment(
     )
 
 
-def net_pins(
-    circuit: Circuit, index: Mapping[str, int] | None = None
-) -> tuple[npt.NDArray[np.int64], npt.NDArray[np.intp]]:
-    """CSR pin index over ``circuit.nets`` in net order (see
-    :func:`repro.geometry.pin_index`); pins index ``list(circuit)``, or
-    the slots of ``index`` when given."""
-    if index is None:
-        index = {cell.name: i for i, cell in enumerate(circuit)}
-    return pin_index(
-        [index[m] for m in net.members] for net in circuit.nets.values()
-    )
-
-
 def signal_wirelength(
     circuit: Circuit,
     positions: Mapping[str, Point],
@@ -527,28 +512,16 @@ def signal_wirelength(
 
     ``model="hpwl"`` (default, the paper's metric) or ``model="steiner"``
     for the rectilinear-Steiner estimate (exact for nets of <= 3 pins,
-    tighter for bigger nets).  Cells missing from ``positions`` are left
-    out of their nets.
+    tighter for bigger nets).
     """
     if model not in ("hpwl", "steiner"):
         raise ValueError(f"unknown wirelength model {model!r}")
-    if model == "steiner":
-        total = 0.0
-        for net in circuit.nets.values():
-            total += net_steiner_wl(
-                [positions[m] for m in net.members if m in positions]
-            )
-        return total
-    names = [cell.name for cell in circuit]
-    x, y = position_arrays(names, positions)
-    ptr, pins = net_pins(circuit)
-    keep = np.array([name in positions for name in names])[pins]
-    if not keep.all():
-        net_of = np.repeat(np.arange(ptr.size - 1), np.diff(ptr))
-        counts = np.bincount(net_of[keep], minlength=ptr.size - 1)
-        ptr = np.concatenate([[0], np.cumsum(counts)])
-        pins = pins[keep]
-    return hpwl_from_arrays(x, y, ptr, pins)
+    estimate = net_hpwl if model == "hpwl" else net_steiner_wl
+    total = 0.0
+    for net in circuit.nets.values():
+        pins = [positions[m] for m in net.members if m in positions]
+        total += estimate(pins)
+    return total
 
 
 def wirelength_capacitance_product(total_wl: float, max_cap_ff: float) -> float:

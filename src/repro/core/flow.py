@@ -36,8 +36,8 @@ from ..constants import DEFAULT_CLOCK_PERIOD_PS, DEFAULT_TECHNOLOGY, Technology
 from ..errors import ReproError
 from ..geometry import (
     Point,
-    PositionView,
     hpwl_from_arrays,
+    pin_index,
     position_arrays,
     position_dict,
 )
@@ -64,11 +64,7 @@ from ..timing import (
 )
 from .assignment_flow import network_flow_assignment
 from .assignment_ilp import MinMaxCapResult, ilp_assignment
-from .cost import (
-    Assignment,
-    TappingCostCache,
-    net_pins,
-)
+from .cost import Assignment, TappingCostCache
 from .skew_cost_driven import cost_driven_schedule, ring_attractions
 from .skew_traditional import SkewSchedule, max_slack_schedule
 
@@ -674,11 +670,13 @@ class IntegratedFlow:
         names = tuple(cell.name for cell in self.circuit)
         cell_index = {name: i for i, name in enumerate(names)}
         ff_cell = np.array([cell_index[ff] for ff in ffs], dtype=np.intp)
-        ff_index = {ff: k for k, ff in enumerate(ffs)}
-        pin_ptr, pins = net_pins(self.circuit, cell_index)
+        pin_ptr, pins = pin_index(
+            [cell_index[m] for m in net.members]
+            for net in self.circuit.nets.values()
+        )
 
-        def ff_positions(x: np.ndarray, y: np.ndarray) -> PositionView:
-            return PositionView(ff_index, x[ff_cell], y[ff_cell])
+        def ff_positions(x: np.ndarray, y: np.ndarray) -> dict[str, Point]:
+            return position_dict(ffs, x[ff_cell], y[ff_cell])
 
         def along_ffs(values: Mapping[str, Any]) -> np.ndarray:
             return np.array([values[ff] for ff in ffs])
@@ -705,9 +703,7 @@ class IntegratedFlow:
                 return x, y
 
             gx, gy = placer.place()
-            x, y = with_pads(
-                legalize(gx, gy, placer.movable, region, placer.name_rank)
-            )
+            x, y = with_pads(legalize(gx, gy, placer.movable, region))
             if opts.detailed_refinement:
                 refined = refine_placement(
                     self.circuit, region, position_dict(names, x, y)

@@ -2,14 +2,13 @@
 
 from .hpwl import hpwl_by_net, hpwl_from_arrays, net_hpwl, pin_index, total_hpwl
 from .point import BBox, Point, manhattan
-from .positions import PositionView, position_arrays, position_dict
+from .positions import position_arrays, position_dict
 from .steiner import net_steiner_wl, rectilinear_mst, steiner_wirelength
 
 __all__ = [
     "BBox",
     "Point",
     "manhattan",
-    "PositionView",
     "position_arrays",
     "position_dict",
     "net_hpwl",

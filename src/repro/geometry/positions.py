@@ -2,15 +2,13 @@
 
 The Fig. 3 flow keeps a placement as two float64 arrays indexed like a
 fixed name sequence (``list(circuit)`` order).  These helpers convert at
-the edges: :func:`position_arrays` reads a ``{name: Point}`` mapping,
-:func:`position_dict` writes one, and :class:`PositionView` answers
-``positions[name]`` straight from the arrays for consumers that look
-cells up by name.
+the edges: :func:`position_arrays` reads a ``{name: Point}`` mapping and
+:func:`position_dict` writes one.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 import numpy.typing as npt
@@ -42,30 +40,3 @@ def position_dict(
     """``{name: Point}`` in ``names`` order."""
     return dict(zip(names, map(Point, x.tolist(), y.tolist())))
 
-
-class PositionView(Mapping[str, Point]):
-    """Read-only ``{name: Point}`` view of coordinate arrays.
-
-    ``index`` maps each name to its array slot; the coordinates are
-    copied once, so later writes to the arrays do not show through.
-    """
-
-    __slots__ = ("_index", "_x", "_y")
-
-    def __init__(self, index: Mapping[str, int], x: _F64, y: _F64) -> None:
-        self._index = index
-        self._x: list[float] = x.tolist()
-        self._y: list[float] = y.tolist()
-
-    def __getitem__(self, name: str) -> Point:
-        i = self._index[name]
-        return Point(self._x[i], self._y[i])
-
-    def __contains__(self, name: object) -> bool:
-        return name in self._index
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self._index)
-
-    def __len__(self) -> int:
-        return len(self._index)

@@ -60,7 +60,7 @@ def incremental_place(
                 stability_weight=opts.stability_weight,
             )
         with collector.span("placement.legalize"):
-            return legalize(gx, gy, placer.movable, placer.region, placer.name_rank)
+            return legalize(gx, gy, placer.movable, placer.region)
 
 
 def placement_perturbation(

@@ -53,7 +53,7 @@ class LegalizationResult:
         return self.total_displacement / n if n else 0.0
 
 
-def name_ranks(names: Sequence[str]) -> npt.NDArray[np.intp]:
+def _name_ranks(names: Sequence[str]) -> npt.NDArray[np.intp]:
     """Rank of each of ``names`` in sorted order."""
     ranks = np.empty(len(names), dtype=np.intp)
     ranks[sorted(range(len(names)), key=names.__getitem__)] = np.arange(len(names))
@@ -65,19 +65,16 @@ def legalize(
     y: npt.ArrayLike,
     names: Sequence[str],
     region: PlacementRegion,
-    name_rank: npt.ArrayLike | None = None,
 ) -> LegalizationResult:
     """Legalize the global placement ``(x, y)`` of ``names`` onto the
     region's row/site grid.
 
-    Cells go in ``(x, y, name)`` order; ``name_rank`` (each name's rank
-    in sorted order, e.g. :attr:`QuadraticPlacer.name_rank`) saves
-    sorting the names.  Each cell takes the window row whose nearest
-    free site minimizes ``|row_y - y| + |site_x - x|``, the lowest row
-    winning equal costs.  Rows are walked outward from the target row,
-    down and up separately; a side stops at the first row whose vertical
-    distance alone exceeds the best cost so far, since no row beyond it
-    can match that cost.
+    Cells go in ``(x, y, name)`` order.  Each cell takes the window row
+    whose nearest free site minimizes ``|row_y - y| + |site_x - x|``, the
+    lowest row winning equal costs.  Rows are walked outward from the
+    target row, down and up separately; a side stops at the first row
+    whose vertical distance alone exceeds the best cost so far, since no
+    row beyond it can match that cost.
 
     Raises :class:`PlacementError` if the region cannot hold the cells
     or a cell's position is not finite.
@@ -100,11 +97,9 @@ def legalize(
         raise PlacementError(
             f"cell {names[k]!r} has a non-finite position ({xs[k]}, {ys[k]})"
         )
-    if name_rank is None:
-        name_rank = name_ranks(names)
     # Process in (x, y, name) order (classic Tetris) for deterministic
     # packing.
-    order = np.lexsort((np.asarray(name_rank), ys, xs))
+    order = np.lexsort((_name_ranks(names), ys, xs))
     x_list = xs.tolist()
     y_list = ys.tolist()
     # PlacementRegion.nearest_row / nearest_site for every cell: int()

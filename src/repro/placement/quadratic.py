@@ -32,7 +32,6 @@ from ..errors import PlacementError
 from ..geometry import BBox, Point
 from ..netlist import Circuit
 from ..obs import NULL_COLLECTOR, Collector
-from .legalize import name_ranks
 from .pseudonet import PseudoNet
 from .region import PlacementRegion, pad_positions
 
@@ -113,7 +112,6 @@ class QuadraticPlacer:
         if not self._movable:
             raise PlacementError("no movable cells")
         self._index = {name: i for i, name in enumerate(self._movable)}
-        self._name_rank = name_ranks(self._movable)
         self._fixed = pad_positions(circuit, region)
         self._net_weights = self._checked_net_weights(net_weights)
         self._springs = self._build_springs()
@@ -348,12 +346,6 @@ class QuadraticPlacer:
     def movable(self) -> tuple[str, ...]:
         """Movable cell names; index ``i`` is placer cell ``i``."""
         return self._movable
-
-    @property
-    def name_rank(self) -> npt.NDArray[np.intp]:
-        """Rank of each movable cell's name in sorted order (the
-        legalizer's final tie-break)."""
-        return self._name_rank
 
     def pseudo_net_arrays(self, pseudo_nets: Iterable[PseudoNet]) -> PseudoNetArrays:
         """``pseudo_nets`` in the array form :meth:`place` takes.

@@ -12,7 +12,8 @@ from repro.core import (
 )
 from repro.errors import CostMatrixError
 from repro.geometry import BBox, Point
-from repro.rotary import RingArray
+from repro.opt.mincostflow import FORBIDDEN_COST
+from repro.rotary import RingArray, best_tapping
 
 from oracles import cost_ref
 
@@ -139,6 +140,28 @@ class TestCache:
             assert sols[name].wirelength == pytest.approx(
                 reference.solutions[name].wirelength
             )
+
+    def test_batch_without_candidate_arcs_is_re_solved(self, setup):
+        """``candidate_rings=0`` prunes every arc: the matrix is all
+        forbidden, and ``realize``/``solution`` solve each flip-flop
+        afresh instead of finding no cached entry."""
+        array, positions, targets = setup
+        cache = TappingCostCache(array, TECH, candidate_rings=0)
+        m = cache.matrix(positions, targets)
+        assert np.all(m.costs == FORBIDDEN_COST)
+        ring_of = {name: 0 for name in m.ff_names}
+        sols = cache.realize(ring_of, positions, targets)
+        assert cache.hits == 0
+        for name in m.ff_names:
+            expected = best_tapping(array[0], positions[name], targets[name], TECH)
+            assert sols[name].wirelength == expected.wirelength
+            assert cache.solution(
+                name, 1, positions[name], targets[name]
+            ).wirelength == best_tapping(
+                array[1], positions[name], targets[name], TECH
+            ).wirelength
+        cache.matrix(positions, {"ff0": targets["ff0"]})
+        assert set(cache._key) == {"ff0"}
 
     def test_removed_flipflop_is_evicted(self, setup):
         array, positions, targets = setup

@@ -2,7 +2,8 @@
 
 The flow evaluates ring attractions, signal HPWL and pair slacks with
 array kernels over one placement state; ``oracles.evaluation_ref``
-keeps the per-flip-flop, per-net and per-pair loops they replaced.
+keeps the per-flip-flop and per-pair loops they replaced, and the
+per-net HPWL loop is :func:`repro.core.signal_wirelength`.
 Every property compares the two bit for bit (signed zeros included) on
 the inputs where a vectorization most easily drifts: flip-flops on a
 ring corner or equidistant from two sides, period shifts that land on
@@ -24,7 +25,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.constants import DEFAULT_TECHNOLOGY
-from repro.core import net_pins, ring_attractions, signal_wirelength
+from repro.core import ring_attractions, signal_wirelength
 from repro.errors import ReproError
 from repro.geometry import (
     BBox,
@@ -183,12 +184,11 @@ class TestHpwl:
 
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(0, 10_000), keep=st.floats(0.0, 1.0), colocated=st.booleans())
-    def test_signal_wirelength_matches_loop(self, seed, keep, colocated):
+    def test_matches_signal_wirelength(self, seed, keep, colocated):
         """Cells missing from the placement drop out of their nets, so
         some nets keep fewer than two placed pins."""
-        circuit = CIRCUIT
         rng = np.random.default_rng(seed)
-        names = [cell.name for cell in circuit]
+        names = [cell.name for cell in CIRCUIT]
         placed = [n for n in names if rng.random() < keep]
         if colocated:
             positions = {n: Point(17.0, -3.5) for n in placed}
@@ -198,18 +198,32 @@ class TestHpwl:
                 for n in placed
             }
         with np.errstate(all="raise"):
-            got = signal_wirelength(circuit, positions)
-        assert same_bits(got, evaluation_ref.signal_wirelength(circuit, positions))
+            got = hpwl_from_arrays(
+                *position_arrays(names, positions), *circuit_pins(positions)
+            )
+        assert same_bits(got, signal_wirelength(CIRCUIT, positions))
 
-    def test_flow_pin_index_matches_loop(self):
+    def test_flow_pin_index_matches_signal_wirelength(self):
         region = region_for_circuit(CIRCUIT, TECH)
         placer = QuadraticPlacer(CIRCUIT, region)
         positions = dict(placer.fixed_positions)
         positions.update(position_dict(placer.movable, *placer.place()))
         names = [cell.name for cell in CIRCUIT]
         with np.errstate(all="raise"):
-            got = hpwl_from_arrays(*position_arrays(names, positions), *net_pins(CIRCUIT))
-        assert same_bits(got, evaluation_ref.signal_wirelength(CIRCUIT, positions))
+            got = hpwl_from_arrays(
+                *position_arrays(names, positions), *circuit_pins(positions)
+            )
+        assert same_bits(got, signal_wirelength(CIRCUIT, positions))
+
+
+def circuit_pins(placed):
+    """The flow's CSR pin index over ``CIRCUIT``'s nets, keeping only the
+    pins of ``placed`` cells (as :func:`signal_wirelength` does)."""
+    index = {cell.name: i for i, cell in enumerate(CIRCUIT)}
+    return pin_index(
+        [index[m] for m in net.members if m in placed]
+        for net in CIRCUIT.nets.values()
+    )
 
 
 CIRCUIT = generate_circuit(small_profile(num_cells=120, num_flipflops=16, seed=5))
@@ -286,9 +300,8 @@ def test_stability_anchor_order_leaves_the_placement_unchanged():
     region = region_for_circuit(circuit, TECH)
     placer = QuadraticPlacer(circuit, region)
     gx, gy = placer.place()
-    legal = legalize(gx, gy, placer.movable, region, placer.name_rank)
+    legal = legalize(gx, gy, placer.movable, region)
     ffs = [ff.name for ff in circuit.flip_flops]
-    pseudo = placer.pseudo_net_arrays([])
     cells = np.array([placer.movable.index(ff) for ff in ffs])
     pseudo = (
         cells,

@@ -1,14 +1,16 @@
 """Reference per-object loops of the Fig. 3 evaluation kernels.
 
-The flow computes the Section VII ring attractions, the stage-5 signal
-HPWL and the per-pair permissible-range slacks with array kernels over
-one placement state.  These are the loops they replaced: one Python
-iteration per flip-flop, per net and per sequential pair over
-``{name: Point}`` and ``{pair: PathBounds}`` mappings, with the ring
-geometry the attraction loop calls per flip-flop (:func:`nearest_point`,
+The flow computes the Section VII ring attractions and the per-pair
+permissible-range slacks with array kernels over one placement state.
+These are the loops they replaced: one Python iteration per flip-flop
+and per sequential pair over ``{name: Point}`` and
+``{pair: PathBounds}`` mappings, with the ring geometry the attraction
+loop calls per flip-flop (:func:`nearest_point`,
 :func:`delay_candidates_at`).  They are kept only as the oracles the
 equivalence tests and the hot-path guards compare against: each kernel
-must return exactly what its loop returns (``==``, no tolerance).
+must return exactly what its loop returns (``==``, no tolerance).  The
+stage-5 HPWL kernel's loop is the library's own
+:func:`repro.core.signal_wirelength`.
 """
 
 from __future__ import annotations
@@ -18,8 +20,7 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from repro.constants import Technology
-from repro.geometry import Point, net_hpwl
-from repro.netlist import Circuit
+from repro.geometry import Point
 from repro.rotary import RingArray, RotaryRing, stub_delay
 from repro.rotary.ring import RingSegment
 from repro.timing import PathBounds, permissible_range
@@ -103,15 +104,6 @@ def ring_attractions(
             stub_delay=t_stub,
         )
     return out
-
-
-def signal_wirelength(circuit: Circuit, positions: Mapping[str, Point]) -> float:
-    """Total HPWL (um), one :func:`net_hpwl` per net in net order."""
-    total = 0.0
-    for net in circuit.nets.values():
-        pins = [positions[m] for m in net.members if m in positions]
-        total += net_hpwl(pins)
-    return total
 
 
 def pair_slacks(

@@ -106,7 +106,6 @@ class TestLegalize:
             "y",
             "names",
             "region",
-            "name_rank",
         ]
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
